@@ -11,8 +11,11 @@ establish it:
 
 1. **Workload floor** — a real tuning grid (every environment kind,
    the study devices, the full mutant suite) through the analytic
-   backend with obs disabled, best of ``--trials`` runs.  This is the
-   shipped default configuration, instrumentation included.
+   backend's per-unit serial loop (``Backend.run_matrix``, one
+   ``run`` per unit) with obs disabled, best of ``--trials`` runs.
+   The loop does real work on every unit; the analytic grid pass
+   would answer warm repeats from its run memo without any per-unit
+   dispatch, so it is the wrong denominator for a per-unit bound.
 2. **Dispatch ceiling** — a microbenchmark of the per-unit disabled
    dispatch pattern (one ``recorder()`` lookup + ``enabled`` check
    per unit, plus the per-grid null span and guard), deliberately
@@ -36,7 +39,7 @@ import tempfile
 import time
 
 from repro import obs
-from repro.backends import AnalyticBackend
+from repro.backends import AnalyticBackend, Backend
 from repro.env import EnvironmentKind, environments_for
 from repro.gpu import study_devices
 from repro.mutation import default_suite
@@ -62,7 +65,9 @@ def time_workload(envs, trials):
     for _ in range(trials):
         started = time.perf_counter()
         for environments in grids.values():
-            backend.run_matrix(devices, tests, environments, seed=SEED)
+            Backend.run_matrix(
+                backend, devices, tests, environments, seed=SEED
+            )
         best = min(best, time.perf_counter() - started)
     return best, units
 

@@ -36,7 +36,7 @@ Subpackages:
   declarative work-unit grids, a multiprocessing executor with retry
   and timeouts, JSONL checkpoint/resume journals, run telemetry.
 * :mod:`repro.backends` — pluggable execution backends (analytic,
-  operational, vectorized) behind one registry, plus the
+  operational, tensor) behind one registry, plus the
   cross-backend validation harness.
 * :mod:`repro.synthesis` — automated cycle enumeration and
   litmus/mutant synthesis: generates verified suites beyond the
@@ -47,7 +47,6 @@ from repro.backends import (
     AnalyticBackend,
     Backend,
     OperationalBackend,
-    VectorizedAnalyticBackend,
     make_backend,
     registered_backends,
 )
@@ -160,7 +159,6 @@ __all__ = [
     "TestOracle",
     "TestingEnvironment",
     "TuningResult",
-    "VectorizedAnalyticBackend",
     "Workload",
     "build_suite",
     "campaign_status",

@@ -1,6 +1,6 @@
 """Pluggable execution backends behind the runner.
 
-One :class:`Backend` protocol, four strategies, one registry.  Every
+One :class:`Backend` protocol, three strategies, one registry.  Every
 backend declares an ``equivalence`` contract
 (:data:`EQUIVALENCE_CONTRACTS`) naming how its numbers relate to the
 analytic reference; the registry validates the contract, the
@@ -10,22 +10,20 @@ resume:
 * ``analytic`` (:class:`AnalyticBackend`, ``bitwise``) — the default:
   closed-form per-instance probabilities, binomially sampled kills.
   Scales to PTE instance counts; the numerical ground truth
-  everything else is validated against.
+  everything else is validated against.  Its ``run_matrix`` evaluates
+  a grid in one memoized pass, bit-identical to the per-cell ``run``
+  loop.  The retired name ``vectorized`` resolves here, so journals
+  that pin it still resume.
 * ``operational`` (:class:`OperationalBackend`, ``directional``) —
   every instance actually simulated by the operational executor.
   SITE-scale only; accepts ``max_operational_instances``.
-* ``vectorized`` (:class:`VectorizedAnalyticBackend`, ``bitwise``) —
-  the analytic model with one characterize/workload/probability pass
-  per grid and shared memo caches keyed by the structural test hash.
-  Bit-identical to ``analytic`` for the same seed, several times
-  faster on tuning grids.
 * ``tensor`` (:class:`TensorAnalyticBackend`, ``statistical``) — the
   whole (environment × device × test) grid as one broadcast tensor
   program with batched binomial sampling.  Probabilities and seconds
   are bitwise equal to ``analytic``; kill counts come from the same
   distributions via independent seeded streams.  Orders of magnitude
-  faster than ``vectorized`` through the :class:`GridResult` path
-  (see ``benchmarks/bench_tensor_speedup.py``).
+  faster than the analytic grid pass through the :class:`GridResult`
+  path (see ``benchmarks/bench_tensor_speedup.py``).
 
 Grids can be executed as :class:`~repro.env.runner.TestRun` lists
 (``run_matrix``) or as structure-of-arrays tensors
@@ -67,12 +65,6 @@ from repro.backends.validate import (
     validate_directional_agreement,
     validate_statistical_equivalence,
 )
-from repro.backends.vectorized import (
-    VectorizedAnalyticBackend,
-    VectorizedCacheStats,
-    reset_vectorized_caches,
-    vectorized_cache_stats,
-)
 
 __all__ = [
     "AnalyticBackend",
@@ -83,13 +75,10 @@ __all__ = [
     "TensorAnalyticBackend",
     "TensorCacheStats",
     "ValidationReport",
-    "VectorizedAnalyticBackend",
-    "VectorizedCacheStats",
     "make_backend",
     "register",
     "registered_backends",
     "reset_tensor_caches",
-    "reset_vectorized_caches",
     "resolve",
     "tensor_cache_stats",
     "validate_backends",
@@ -97,5 +86,4 @@ __all__ = [
     "validate_directional_agreement",
     "validate_options",
     "validate_statistical_equivalence",
-    "vectorized_cache_stats",
 ]

@@ -3,9 +3,9 @@
 A :class:`Backend` is one strategy for turning a (device, test,
 environment, iterations, rng) work unit into a
 :class:`~repro.env.runner.TestRun`.  Three strategies ship with the
-package (see :mod:`repro.backends`): the closed-form analytic model,
-the instance-level operational simulator, and a vectorized analytic
-variant that batches whole suite × environment grids.
+package (see :mod:`repro.backends`): the closed-form analytic model
+(per cell, or one memoized pass per grid), the whole-grid tensor
+program, and the instance-level operational simulator.
 
 The protocol is deliberately small: ``run`` executes one unit,
 ``run_matrix`` executes a grid as :class:`~repro.env.runner.TestRun`
@@ -17,7 +17,9 @@ then devices, then tests, one :func:`~repro.env.runner.unit_rng`
 stream per unit); a backend overrides it only when it can batch the
 grid without changing any unit's result — the determinism contract
 says unit results depend solely on (seed, unit key), never on how the
-grid was traversed.
+grid was traversed.  ``Backend.run_matrix(backend, ...)`` always names
+the serial loop, so benchmarks and the validation harness can hold an
+overriding backend against it.
 
 How closely a backend's numbers track the analytic ground truth is an
 explicit, machine-checked property of the class: every backend
@@ -32,7 +34,7 @@ from __future__ import annotations
 import abc
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
@@ -47,8 +49,7 @@ from repro.litmus.program import LitmusTest
 #:
 #: * ``"bitwise"`` — every :class:`TestRun` is bit-identical to the
 #:   analytic reference for the same (seed, unit key).  Holds for
-#:   ``analytic`` itself and for ``vectorized``, whose batching only
-#:   dedups computation.
+#:   ``analytic`` itself, whose grid pass only dedups computation.
 #: * ``"statistical"`` — kill counts come from the same distributions
 #:   as the reference (identical probabilities, seconds, and unit
 #:   grid) but from different draws; fixed seeds still reproduce
@@ -58,6 +59,8 @@ from repro.litmus.program import LitmusTest
 #:   only ranking/zero-stays-zero agreement is promised.  Holds for
 #:   ``operational``.
 EQUIVALENCE_CONTRACTS = ("bitwise", "statistical", "directional")
+
+T = TypeVar("T")
 
 #: Shared metric families every backend's grid pass reports under,
 #: labelled ``backend=<name>`` so artifacts compare strategies.
@@ -90,6 +93,21 @@ def record_grid(backend: str, elapsed: float, units: int) -> None:
     rec.observe(GRID_SECONDS_METRIC, elapsed, {"backend": backend})
     rec.counter_inc(GRID_UNITS_METRIC, units, {"backend": backend})
     obs.publish_cache_metrics()
+
+
+def timed_grid(
+    backend: str,
+    span: str,
+    compute: Callable[[], T],
+    units: Callable[[T], int] = len,
+    **attributes: Any,
+) -> T:
+    """Run one grid pass inside a ``span`` and publish its timing."""
+    started = time.perf_counter()
+    with obs.recorder().span(span, backend=backend, **attributes):
+        result = compute()
+    record_grid(backend, time.perf_counter() - started, units(result))
+    return result
 
 
 @dataclass(frozen=True)
@@ -258,22 +276,15 @@ class Backend(abc.ABC):
     ) -> List[TestRun]:
         """Execute every (environment, device, test) combination.
 
-        Each unit gets its independent deterministic stream, so any
-        subset of the matrix reproduces the full run's values.
+        The canonical serial loop: each unit gets its independent
+        deterministic stream, so any subset of the matrix reproduces
+        the full run's values.
         """
-        started = time.perf_counter()
-        runs: List[TestRun] = []
-        with obs.recorder().span(
-            "backend.run_matrix",
-            backend=self.name,
-            environments=len(environments),
-        ):
+
+        def serial() -> List[TestRun]:
+            runs: List[TestRun] = []
             for environment in environments:
-                iterations = (
-                    iterations_override
-                    if iterations_override is not None
-                    else environment.iterations()
-                )
+                iterations = environment.iterations(iterations_override)
                 for device in devices:
                     for test in tests:
                         stream = unit_rng(
@@ -286,10 +297,12 @@ class Backend(abc.ABC):
                                 stream,
                             )
                         )
-        record_grid(
-            self.name, time.perf_counter() - started, len(runs)
+            return runs
+
+        return timed_grid(
+            self.name, "backend.run_matrix", serial,
+            environments=len(environments),
         )
-        return runs
 
     def run_grid(
         self,

@@ -14,8 +14,9 @@ import numpy as np
 from repro.backends.base import Backend, check_positive_instances
 from repro.backends.registry import register
 from repro.env.environment import TestingEnvironment
-from repro.env.runner import TestRun, oracle_for
+from repro.env.runner import TestRun
 from repro.gpu.device import Device
+from repro.litmus.oracle import oracle_for
 from repro.litmus.program import LitmusTest
 
 

@@ -16,6 +16,11 @@ from repro.errors import EnvironmentError_
 
 _REGISTRY: "Dict[str, Type[Backend]]" = {}
 
+#: Retired names that still resolve, so specs and journals pinning
+#: them keep loading: ``vectorized`` was the analytic model's grid
+#: pass before it folded into ``analytic`` (bit-identical by contract).
+RETIRED_NAMES = {"vectorized": "analytic"}
+
 
 def register(backend_class: Type[Backend]) -> Type[Backend]:
     """Register a backend class under its ``name`` (usable as a
@@ -43,7 +48,7 @@ def register(backend_class: Type[Backend]) -> Type[Backend]:
 
 
 def registered_backends() -> Tuple[str, ...]:
-    """Every registered backend name, sorted."""
+    """Every registered backend name, sorted (retired names excluded)."""
     return tuple(sorted(_REGISTRY))
 
 
@@ -52,10 +57,11 @@ def resolve(name: str) -> Type[Backend]:
 
     Raises :class:`EnvironmentError_` with a message listing the
     registered backends — the one error both ``Runner`` and
-    ``CampaignSpec`` surface for a bad backend name.
+    ``CampaignSpec`` surface for a bad backend name.  A retired name
+    resolves to the backend that absorbed it.
     """
     try:
-        return _REGISTRY[name]
+        return _REGISTRY[RETIRED_NAMES.get(name, name)]
     except KeyError:
         raise EnvironmentError_(
             f"unknown backend {name!r}; registered backends: "

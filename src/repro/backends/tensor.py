@@ -1,6 +1,6 @@
 """The tensor analytic backend: the whole grid as one array program.
 
-The vectorized backend dedups *computation* but still walks the grid
+The analytic grid pass dedups *computation* but still walks the grid
 unit by unit in Python — memo lookups, per-unit RNG construction, and
 per-unit :class:`TestRun` records dominate its warm path.  This
 backend evaluates the analytic closed forms as broadcast tensor ops
@@ -14,9 +14,9 @@ kill count in a handful of batched NumPy operations:
   arithmetic is deterministic, so the probability tensor matches
   :meth:`repro.gpu.batch.BatchModel.instance_probability` bit for bit
   (the validation harness asserts it).  The response-jitter draw is
-  cached as a *standard* normal per (env, test, device) — numpy's
-  ``normal(0, sigma)`` is exactly ``sigma * standard_normal()`` for
-  the same stream — so one cached value serves every sigma.
+  cached as a *standard* normal per (env, test, device)
+  (:func:`~repro.gpu.batch.jitter_draw`), so one cached value serves
+  every sigma.
 
 * **Sampling is statistically equivalent, not bitwise.**  The
   analytic path draws ``iterations`` binomials from one
@@ -37,38 +37,38 @@ zero) sample by exact CDF inversion of the binomial pmf recurrence;
 large-mean units use the normal approximation with continuity
 correction, whose error at the cutoff is far below the jitter the
 model itself injects.  Grid programs (probability tensors) and
-sampled kill tensors are memoized in bounded LRU caches — memoization
-at the grid level, not the instance level.
+sampled kill tensors are memoized in bounded :class:`~repro.memo.Memo`
+caches — memoization at the grid level, not the instance level.
 
 ``benchmarks/bench_tensor_speedup.py`` asserts the speedup target
-(≥10x over warm vectorized on the full Figure 5 grid);
+(≥10x over the warm analytic grid pass on the full Figure 5 grid);
 ``python -m repro.backends`` asserts the statistical contract.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro import obs
-from repro.backends.base import Backend, GridResult, record_grid
+from repro.backends.base import Backend, GridResult, timed_grid
 from repro.backends.registry import register
-from repro.backends.vectorized import _LRUCache, _test_info
 from repro.env.environment import TestingEnvironment
 from repro.env.runner import TestRun, stable_name_hash
 from repro.gpu.batch import (
+    JITTER_SIGMA,
     instance_dilution,
     interleaving_probability,
+    jitter_draw,
     observer_factor,
     stress_focus,
     weak_reorder_probability,
 )
-from repro.gpu.characteristics import Mechanism
+from repro.gpu.characteristics import Mechanism, characterize
 from repro.gpu.device import Device
-from repro.litmus.program import LitmusTest
+from repro.litmus.program import LitmusTest, structural_test_key
+from repro.memo import Memo
 
 #: Mechanism channel order inside the stacked probability tensor.
 _CHANNELS = (
@@ -88,13 +88,14 @@ _MAX_INVERSION_STEPS = 256
 #: Whole grid programs (probability/instances/seconds tensors), keyed
 #: by grid identity; seed-independent, so tuning sweeps that resample
 #: the same grid reuse one program.
-_GRID_CACHE = _LRUCache(maxsize=32)
+_GRID_CACHE = Memo("tensor_grid", maxsize=32)
 #: Sampled kill tensors, keyed by (grid identity, seed).
-_KILLS_CACHE = _LRUCache(maxsize=64)
+_KILLS_CACHE = Memo("tensor_kills", maxsize=64)
 #: Standard-normal jitter draws per (env_key, test, device); shared
 #: across sigmas, grids, and environment kinds (SITE and PTE tuning
 #: candidates share env keys).
-_JITTER_Z_CACHE = _LRUCache(maxsize=262_144)
+_JITTER_Z_CACHE = Memo("tensor_jitter", maxsize=262_144)
+_TENSOR_MEMOS = (_GRID_CACHE, _KILLS_CACHE, _JITTER_Z_CACHE)
 
 
 @dataclass(frozen=True)
@@ -113,23 +114,18 @@ class TensorCacheStats:
 
 def tensor_cache_stats() -> TensorCacheStats:
     """Current counters of the shared grid/kills/jitter caches."""
+    grid, kills, jitter = (memo.stats() for memo in _TENSOR_MEMOS)
     return TensorCacheStats(
-        grid_hits=_GRID_CACHE.hits,
-        grid_misses=_GRID_CACHE.misses,
-        grid_size=len(_GRID_CACHE),
-        kills_hits=_KILLS_CACHE.hits,
-        kills_misses=_KILLS_CACHE.misses,
-        kills_size=len(_KILLS_CACHE),
-        jitter_hits=_JITTER_Z_CACHE.hits,
-        jitter_misses=_JITTER_Z_CACHE.misses,
+        grid.hits, grid.misses, grid.size,
+        kills.hits, kills.misses, kills.size,
+        jitter.hits, jitter.misses,
     )
 
 
 def reset_tensor_caches() -> None:
     """Empty the shared caches (benchmarks measure cold vs warm)."""
-    _GRID_CACHE.clear()
-    _KILLS_CACHE.clear()
-    _JITTER_Z_CACHE.clear()
+    for memo in _TENSOR_MEMOS:
+        memo.clear()
 
 
 # -- counter-based per-unit streams -------------------------------------------
@@ -266,19 +262,9 @@ class _GridProgram:
 
 
 def _jitter_z(env_key: int, test_name: str, device_name: str) -> float:
-    """The cached standard-normal draw behind ``response_jitter``."""
-
-    def compute() -> float:
-        import hashlib
-
-        digest = hashlib.sha256(
-            f"{env_key}|{test_name}|{device_name}".encode()
-        ).digest()
-        seed = int.from_bytes(digest[:8], "big")
-        return float(np.random.default_rng(seed).standard_normal())
-
     return _JITTER_Z_CACHE.get_or_compute(
-        (env_key, test_name, device_name), compute
+        (env_key, test_name, device_name),
+        lambda: jitter_draw(env_key, test_name, device_name),
     )
 
 
@@ -306,42 +292,33 @@ def _compile_program(
     test_count = len(tests)
     shape = (env_count, dev_count, test_count)
 
-    infos = [_test_info(test) for test in tests]
+    characteristics = [characterize(test) for test in tests]
     channel_index = {mechanism: i for i, mechanism in enumerate(_CHANNELS)}
     channel_sel = np.array(
         [
-            channel_index.get(info.characteristics.mechanism, 0)
-            for info in infos
+            channel_index.get(c.mechanism, 0) for c in characteristics
         ],
         dtype=np.intp,
     )
     bug_only = np.array(
-        [
-            info.characteristics.mechanism is Mechanism.BUG_ONLY
-            for info in infos
-        ],
+        [c.mechanism is Mechanism.BUG_ONLY for c in characteristics],
         dtype=bool,
     )
-    difficulty = np.array(
-        [info.characteristics.difficulty for info in infos]
-    )
-    sigma = np.array([info.sigma for info in infos])
+    difficulty = np.array([c.difficulty for c in characteristics])
+    sigma = np.array([JITTER_SIGMA[c.mechanism] for c in characteristics])
     needs_observer = np.array(
-        [info.characteristics.needs_observer_luck for info in infos],
+        [c.needs_observer_luck for c in characteristics],
         dtype=bool,
     )
     uses_fences = np.array(
-        [info.characteristics.uses_fences for info in infos], dtype=bool
+        [c.uses_fences for c in characteristics], dtype=bool
     )
     adjacent_loads = np.array(
-        [
-            info.characteristics.has_adjacent_same_location_loads
-            for info in infos
-        ],
+        [c.has_adjacent_same_location_loads for c in characteristics],
         dtype=bool,
     )
     stale_pattern = np.array(
-        [info.characteristics.has_stale_read_pattern for info in infos],
+        [c.has_stale_read_pattern for c in characteristics],
         dtype=bool,
     )
 
@@ -357,7 +334,7 @@ def _compile_program(
     )
     # (D, T) mask of mechanisms a profile never exhibits (Sec. 3.4).
     mechanisms = np.array(
-        [info.characteristics.mechanism for info in infos], dtype=object
+        [c.mechanism for c in characteristics], dtype=object
     )
     suppressed = np.array(
         [
@@ -384,12 +361,7 @@ def _compile_program(
         [env.env_key for env in environments], dtype=np.uint64
     )
     iterations = np.array(
-        [
-            iterations_override
-            if iterations_override is not None
-            else env.iterations()
-            for env in environments
-        ],
+        [env.iterations(iterations_override) for env in environments],
         dtype=np.int64,
     )
     instances = np.zeros(env_count, dtype=np.int64)
@@ -409,7 +381,7 @@ def _compile_program(
     for e, environment in enumerate(environments):
         for d, device in enumerate(devices):
             # workload / iteration_seconds are test-independent (the
-            # same dedup the vectorized backend exploits).
+            # same dedup the analytic grid pass exploits).
             workload = environment.workload(
                 device.profile, reference_test
             )
@@ -495,10 +467,8 @@ def _compile_program(
     for e, environment in enumerate(environments):
         key = environment.env_key
         for d, short_name in enumerate(short_names):
-            for t, info in enumerate(infos):
-                jitter_z[e, d, t] = _jitter_z(
-                    key, info.test.name, short_name
-                )
+            for t, test in enumerate(tests):
+                jitter_z[e, d, t] = _jitter_z(key, test.name, short_name)
     jitter = np.where(
         sigma[None, None, :] > 0.0,
         np.exp(sigma[None, None, :] * jitter_z),
@@ -513,7 +483,7 @@ def _compile_program(
     return _GridProgram(
         environments=tuple(environments),
         device_names=tuple(device.name for device in devices),
-        test_names=tuple(info.test.name for info in infos),
+        test_names=tuple(test.name for test in tests),
         probabilities=_freeze(probabilities),
         instances=_freeze(instances),
         iterations=_freeze(iterations),
@@ -527,7 +497,7 @@ def _compile_program(
         ),
         test_hashes=_freeze(
             np.array(
-                [stable_name_hash(info.test.name) for info in infos],
+                [stable_name_hash(test.name) for test in tests],
                 dtype=np.uint64,
             )
         ),
@@ -574,20 +544,26 @@ class TensorAnalyticBackend(Backend):
     # -- grid paths -------------------------------------------------------
 
     @staticmethod
-    def _grid_key(
+    def _program(
         devices: Sequence[Device],
         tests: Sequence[LitmusTest],
         environments: Sequence[TestingEnvironment],
         iterations_override: Optional[int],
-    ) -> tuple:
-        from repro.env.runner import structural_test_key
-
-        return (
+    ) -> Tuple[tuple, _GridProgram]:
+        """The grid's identity and its (memoized) compiled program."""
+        key = (
             tuple(environments),
             tuple((d.profile, tuple(d.bugs)) for d in devices),
             tuple(structural_test_key(test) for test in tests),
             iterations_override,
         )
+        program = _GRID_CACHE.get_or_compute(
+            key,
+            lambda: _compile_program(
+                devices, tests, environments, iterations_override
+            ),
+        )
+        return key, program
 
     def _grid_result(
         self,
@@ -605,9 +581,7 @@ class TensorAnalyticBackend(Backend):
                 test_names=tuple(t.name for t in tests),
                 iterations=np.array(
                     [
-                        iterations_override
-                        if iterations_override is not None
-                        else env.iterations()
+                        env.iterations(iterations_override)
                         for env in environments
                     ],
                     dtype=np.int64,
@@ -616,14 +590,8 @@ class TensorAnalyticBackend(Backend):
                 kills=np.zeros(shape, dtype=np.int64),
                 seconds=np.zeros(shape, dtype=np.float64),
             )
-        key = self._grid_key(
+        key, program = self._program(
             devices, tests, environments, iterations_override
-        )
-        program = _GRID_CACHE.get_or_compute(
-            key,
-            lambda: _compile_program(
-                devices, tests, environments, iterations_override
-            ),
         )
         kills = _KILLS_CACHE.get_or_compute(
             (key, seed), lambda: _sample_program(program, seed)
@@ -655,14 +623,8 @@ class TensorAnalyticBackend(Backend):
         Exposed for the validation harness: these values are bitwise
         equal to ``Device.instance_probability`` per unit.
         """
-        key = self._grid_key(
+        _, program = self._program(
             devices, tests, environments, iterations_override
-        )
-        program = _GRID_CACHE.get_or_compute(
-            key,
-            lambda: _compile_program(
-                devices, tests, environments, iterations_override
-            ),
         )
         return program.probabilities
 
@@ -675,19 +637,15 @@ class TensorAnalyticBackend(Backend):
         iterations_override: Optional[int] = None,
     ) -> GridResult:
         """The native path: tensors in, tensors out, no records."""
-        started = time.perf_counter()
-        with obs.recorder().span(
+        return timed_grid(
+            self.name,
             "backend.run_grid",
-            backend=self.name,
-            environments=len(environments),
-        ):
-            result = self._grid_result(
+            lambda: self._grid_result(
                 devices, tests, environments, seed, iterations_override
-            )
-        record_grid(
-            self.name, time.perf_counter() - started, result.unit_count
+            ),
+            units=lambda result: result.unit_count,
+            environments=len(environments),
         )
-        return result
 
     def run_matrix(
         self,
@@ -698,19 +656,14 @@ class TensorAnalyticBackend(Backend):
         iterations_override: Optional[int] = None,
     ) -> List[TestRun]:
         """Record materialization on top of the grid-result path."""
-        started = time.perf_counter()
-        with obs.recorder().span(
+        return timed_grid(
+            self.name,
             "backend.run_matrix",
-            backend=self.name,
-            environments=len(environments),
-        ):
-            runs = self._grid_result(
+            lambda: self._grid_result(
                 devices, tests, environments, seed, iterations_override
-            ).to_runs()
-        record_grid(
-            self.name, time.perf_counter() - started, len(runs)
+            ).to_runs(),
+            environments=len(environments),
         )
-        return runs
 
     # -- the per-unit path -------------------------------------------------
 

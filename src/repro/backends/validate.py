@@ -4,8 +4,8 @@ Each backend declares an ``equivalence`` contract
 (:data:`repro.backends.base.EQUIVALENCE_CONTRACTS`) and this module
 holds the executable check for each contract:
 
-1. **Bit identity** (``"bitwise"``, the vectorized backend) — exactly
-   the per-run analytic path's :class:`TestRun` records (same kills,
+1. **Bit identity** (``"bitwise"``, the analytic grid pass) — exactly
+   the canonical serial loop's :class:`TestRun` records (same kills,
    same seconds) for the same seed.  Anything else means caching or
    batching changed the numbers.
 2. **Statistical equivalence** (``"statistical"``, the tensor
@@ -36,16 +36,17 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.backends.analytic import AnalyticBackend
+from repro.backends.base import Backend
 from repro.backends.operational import OperationalBackend
 from repro.backends.tensor import (
     TensorAnalyticBackend,
     reset_tensor_caches,
 )
-from repro.backends.vectorized import VectorizedAnalyticBackend
 from repro.env.environment import TestingEnvironment
-from repro.env.runner import TestRun, oracle_for, unit_rng
+from repro.env.runner import TestRun, unit_rng
 from repro.errors import EnvironmentError_
 from repro.gpu.device import Device
+from repro.litmus.oracle import oracle_for
 from repro.litmus.program import LitmusTest
 
 
@@ -84,33 +85,34 @@ def validate_bit_identity(
     seed: int = 0,
     iterations_override: Optional[int] = None,
 ) -> ValidationReport:
-    """Assert analytic and vectorized backends agree bit-for-bit."""
-    reference = AnalyticBackend().run_matrix(
-        devices, tests, environments, seed=seed,
+    """Assert the analytic grid pass equals the serial per-cell loop
+    bit-for-bit."""
+    reference = Backend.run_matrix(
+        AnalyticBackend(), devices, tests, environments, seed=seed,
         iterations_override=iterations_override,
     )
-    candidate = VectorizedAnalyticBackend().run_matrix(
+    candidate = AnalyticBackend().run_matrix(
         devices, tests, environments, seed=seed,
         iterations_override=iterations_override,
     )
     report = ValidationReport(units=len(reference))
     if len(candidate) != len(reference):
         report.mismatches.append(
-            f"unit counts differ: analytic {len(reference)}, "
-            f"vectorized {len(candidate)}"
+            f"unit counts differ: serial {len(reference)}, "
+            f"grid {len(candidate)}"
         )
         return report
     for expected, actual in zip(reference, candidate):
         if expected != actual:
             report.mismatches.append(
-                f"{_unit_label(expected)}: analytic kills="
+                f"{_unit_label(expected)}: serial kills="
                 f"{expected.kills} seconds={expected.seconds!r}, "
-                f"vectorized kills={actual.kills} "
+                f"grid kills={actual.kills} "
                 f"seconds={actual.seconds!r}"
             )
     if report.ok:
         report.notes.append(
-            "analytic and vectorized kill counts are bit-identical"
+            "analytic grid pass and serial loop are bit-identical"
         )
     return report
 

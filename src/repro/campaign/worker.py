@@ -27,7 +27,8 @@ from repro import obs
 from repro.analysis.serialize import run_to_dict
 from repro.campaign.metrics import record_unit
 from repro.env.environment import TestingEnvironment
-from repro.env.runner import Runner, oracle_cache_stats
+from repro.env.runner import Runner
+from repro.litmus.oracle import oracle_cache_stats
 from repro.errors import ReproError
 from repro.gpu.device import Device, make_device
 from repro.campaign.spec import CampaignError, CampaignSpec, WorkUnit

@@ -49,7 +49,6 @@ import argparse
 import json
 import os
 import sys
-import warnings
 from pathlib import Path
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -87,9 +86,7 @@ def add_backend_flags(
     and ``--backend-opt KEY=VALUE`` (repeatable) carries backend
     construction options — the same two flags mean the same thing on
     ``campaign run``, ``campaign resume``, ``synthesize``, ``tune``,
-    ``service submit``, and ``scripts/reproduce_all.py``.  ``--mode``
-    is the deprecated pre-registry spelling of ``--backend``; it still
-    works for one release with a :class:`DeprecationWarning`.
+    ``service submit``, and ``scripts/reproduce_all.py``.
 
     Commands resolve the flags through :func:`backend_selection`,
     which supplies the command-appropriate default, so the argparse
@@ -110,14 +107,6 @@ def add_backend_flags(
         help="backend construction option (repeatable; values parse "
         "as int/float/bool when they look like one), e.g. "
         "--backend-opt max_operational_instances=8",
-    )
-    # Deprecated alias kept for one release: the pre-registry era
-    # spelled backend selection "mode" (cf. Runner(mode=...)).
-    parser.add_argument(
-        "--mode",
-        choices=registered_backends(),
-        default=None,
-        help=argparse.SUPPRESS,
     )
 
 
@@ -161,27 +150,12 @@ def backend_selection(
 ) -> Tuple[Optional[str], Dict[str, object]]:
     """Resolve the shared backend flags to (name, validated options).
 
-    Applies the deprecated ``--mode`` alias (with a warning), falls
-    back to ``default`` when neither flag was given, and validates
-    the ``--backend-opt`` dict against the selected backend's
-    ``option_names`` so unknown options fail here — with the
-    registry's error message — instead of deep inside a campaign.
+    Falls back to ``default`` when ``--backend`` was not given, and
+    validates the ``--backend-opt`` dict against the selected
+    backend's ``option_names`` so unknown options fail here — with
+    the registry's error message — instead of deep inside a campaign.
     """
     backend = getattr(args, "backend", None)
-    mode = getattr(args, "mode", None)
-    if mode is not None:
-        warnings.warn(
-            "--mode is deprecated and will be removed next release; "
-            "use --backend",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if backend is not None and backend != mode:
-            raise ReproError(
-                f"--mode {mode} and --backend {backend} disagree; "
-                f"drop the deprecated --mode"
-            )
-        backend = mode
     if backend is None:
         backend = default
     options = _parse_backend_opts(getattr(args, "backend_opt", None))
@@ -321,8 +295,8 @@ def _parser() -> argparse.ArgumentParser:
     tune.add_argument("--devices", nargs="*", default=None)
     add_backend_flags(
         tune,
-        help_text="execution backend (vectorized/tensor = batched "
-        "analytic model, faster on big grids)",
+        help_text="execution backend (analytic grid pass is bitwise; "
+        "tensor is faster on big grids)",
     )
     tune.add_argument("--out", required=True)
     tune.add_argument(
@@ -1125,7 +1099,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     import numpy as np
 
     from repro.gpu import Workload
-    from repro.litmus import TestOracle
+    from repro.litmus.oracle import oracle_for
 
     test = _find_test(args.name)
     device = make_device(args.device, buggy=args.buggy)
@@ -1143,7 +1117,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     histogram = device.collect_histogram(
         test, workload, args.instances, rng
     )
-    oracle = TestOracle(test)
+    oracle = oracle_for(test)
     violations = 0
     targets = 0
     for outcome, count in histogram.outcomes():

@@ -38,18 +38,19 @@ from repro.env.parallel_kernel import (
 )
 from repro.env.runner import (
     RESULT_KEY_SCHEMA,
-    OracleCacheStats,
     Runner,
     TestRun,
-    oracle_cache_stats,
-    oracle_for,
-    reset_oracle_cache,
     result_digest,
     result_key,
     stable_name_hash,
     structural_test_key,
     unit_rng,
     unit_seed_sequence,
+)
+from repro.litmus.oracle import (
+    oracle_cache_stats,
+    oracle_for,
+    reset_oracle_cache,
 )
 from repro.env.search import (
     EvolutionarySearch,
@@ -70,7 +71,6 @@ __all__ = [
     "EnvironmentParameters",
     "EvolutionarySearch",
     "InstanceAssignment",
-    "OracleCacheStats",
     "ParallelIteration",
     "RESULT_KEY_SCHEMA",
     "ParallelPermutation",

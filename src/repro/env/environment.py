@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List
+from typing import List, Optional
 
 import numpy as np
 
@@ -96,7 +96,11 @@ class TestingEnvironment:
             return 1
         return self.parameters.testing_threads
 
-    def iterations(self) -> int:
+    def iterations(self, override: Optional[int] = None) -> int:
+        """The iteration budget: ``override`` when given, else the
+        kind's default — the one rule every execution path applies."""
+        if override is not None:
+            return override
         return DEFAULT_ITERATIONS[self.kind]
 
     # -- permutation plumbing ------------------------------------------------

@@ -7,7 +7,7 @@ yielding a kill count and a simulated duration.  Everything in Sec. 5
 an aggregation over ``TestRun`` records.
 
 Execution strategies live in :mod:`repro.backends` (``analytic``,
-``operational``, ``vectorized``, ``tensor``); the :class:`Runner`
+``operational``, ``tensor``); the :class:`Runner`
 here is a thin composition over one of them, owning only what is
 strategy-independent — iteration-count resolution and the
 deterministic per-unit RNG derivation.  ``backend=`` (a registry name
@@ -20,9 +20,7 @@ removed.
 from __future__ import annotations
 
 import hashlib
-import time
 import zlib
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Union
 
@@ -31,18 +29,7 @@ import numpy as np
 from repro.env.environment import TestingEnvironment
 from repro.errors import EnvironmentError_
 from repro.gpu.device import Device
-from repro.litmus.oracle import TestOracle
-from repro.litmus.program import LitmusTest
-
-
-def structural_test_key(test: LitmusTest) -> str:
-    """A stable structural hash of a test.
-
-    Two structurally identical tests (same instructions, values,
-    threads) share a key across processes and interpreter runs —
-    unlike ``hash()``, which is randomised per process.
-    """
-    return hashlib.sha256(test.pretty().encode("utf-8")).hexdigest()
+from repro.litmus.program import LitmusTest, structural_test_key
 
 
 #: Version of the canonical result-key tuple layout below.  Bump it
@@ -65,7 +52,7 @@ def result_key(
 
     Every memo and store in the system keys results off this one
     tuple so cache keys can never diverge between layers: the
-    vectorized backend's probability memo uses it with ``seed`` and
+    analytic grid pass's probability memo uses it with ``seed`` and
     ``iterations`` unset (probabilities are draw-independent), its
     whole-run memo and the persistent :mod:`repro.store` set both.
 
@@ -110,95 +97,6 @@ def result_digest(
         (RESULT_KEY_SCHEMA, backend_name, backend_version, key)
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-@dataclass(frozen=True)
-class OracleCacheStats:
-    """Counters for the process-wide oracle cache."""
-
-    hits: int
-    misses: int
-    evictions: int
-    size: int
-    maxsize: int
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-
-class OracleCache:
-    """Bounded LRU cache of :class:`TestOracle` keyed structurally.
-
-    Oracle construction enumerates candidate executions, so it is by
-    far the most expensive per-test step; memoizing it is what makes
-    operational campaigns affordable.  The cache is bounded so a
-    campaign over an unbounded stream of generated tests cannot grow
-    process memory without limit, and counts hits/misses/evictions so
-    the campaign telemetry layer can report memoization wins.
-    """
-
-    def __init__(self, maxsize: int = 512) -> None:
-        if maxsize < 1:
-            raise EnvironmentError_("oracle cache maxsize must be >= 1")
-        self.maxsize = maxsize
-        self._entries: "OrderedDict[str, TestOracle]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def get(self, test: LitmusTest) -> TestOracle:
-        key = structural_test_key(test)
-        oracle = self._entries.get(key)
-        if oracle is not None:
-            self.hits += 1
-            self._entries.move_to_end(key)
-            return oracle
-        self.misses += 1
-        oracle = TestOracle(test)
-        self._entries[key] = oracle
-        while len(self._entries) > self.maxsize:
-            self._entries.popitem(last=False)
-            self.evictions += 1
-        return oracle
-
-    def stats(self) -> OracleCacheStats:
-        return OracleCacheStats(
-            hits=self.hits,
-            misses=self.misses,
-            evictions=self.evictions,
-            size=len(self._entries),
-            maxsize=self.maxsize,
-        )
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-
-_ORACLE_CACHE = OracleCache()
-
-
-def oracle_for(test: LitmusTest) -> TestOracle:
-    """Process-wide oracle cache (oracle construction enumerates)."""
-    return _ORACLE_CACHE.get(test)
-
-
-def oracle_cache_stats() -> OracleCacheStats:
-    """Current hit/miss/eviction counters of the oracle cache."""
-    return _ORACLE_CACHE.stats()
-
-
-def reset_oracle_cache(maxsize: Optional[int] = None) -> None:
-    """Empty the oracle cache (and optionally rebound it)."""
-    global _ORACLE_CACHE
-    if maxsize is not None:
-        _ORACLE_CACHE = OracleCache(maxsize=maxsize)
-    else:
-        _ORACLE_CACHE.clear()
 
 
 # -- deterministic per-unit seeding -------------------------------------------
@@ -289,7 +187,7 @@ class Runner:
 
     Args:
         backend: A backend name (``"analytic"``, ``"operational"``,
-            ``"vectorized"``, ``"tensor"``) or a
+            ``"tensor"``) or a
             :class:`repro.backends.Backend` instance.  Defaults to
             ``"analytic"``.
         max_operational_instances: Per-iteration instance cap; only
@@ -350,36 +248,28 @@ class Runner:
         environment: TestingEnvironment,
         rng: np.random.Generator,
     ) -> TestRun:
-        iterations = (
-            self.iterations_override
-            if self.iterations_override is not None
-            else environment.iterations()
-        )
+        iterations = environment.iterations(self.iterations_override)
         from repro import obs
-        from repro.backends.base import record_grid
+        from repro.backends.base import timed_grid
 
-        rec = obs.recorder()
-        if not rec.enabled:
+        def run() -> TestRun:
             return self.backend.run(
                 device, test, environment, iterations, rng
             )
+
+        if not obs.recorder().enabled:
+            return run()
         # A single unit is a degenerate 1x1x1 grid: charging it to the
         # same per-backend family keeps grid timing comparable between
         # batched (run_matrix) and per-unit (campaign worker) paths.
-        started = time.perf_counter()
-        with rec.span(
+        return timed_grid(
+            self.backend.name,
             "runner.run",
-            backend=self.backend.name,
+            run,
+            units=lambda _: 1,
             test=test.name,
             device=device.name,
-        ):
-            run = self.backend.run(
-                device, test, environment, iterations, rng
-            )
-        record_grid(
-            self.backend.name, time.perf_counter() - started, 1
         )
-        return run
 
     # -- matrices -----------------------------------------------------------
 
@@ -395,7 +285,7 @@ class Runner:
         Each triple gets an independent, deterministic RNG stream, so
         subsets of the matrix reproduce the full run's values.
         Delegated whole to the backend, so batching backends (the
-        vectorized one) see the grid at once.
+        analytic grid pass, tensor) see the grid at once.
         """
         return self.backend.run_matrix(
             devices,

@@ -61,9 +61,7 @@ def mean_rate_objective(
     This is what "an effective testing environment" means in Sec. 5 —
     it kills mutants quickly across the board.  ``backend`` selects an
     execution backend by registry name (mutually exclusive with
-    ``runner``); search loops evaluate the same (device, test) pairs in
-    every environment, so the ``vectorized`` backend's structural memo
-    caches pay off heavily here.
+    ``runner``).
     """
     active_runner = _objective_runner(runner, backend)
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -96,6 +97,16 @@ def instance_dilution(instances: int) -> float:
     )
 
 
+def jitter_draw(env_key: int, test_name: str, device_name: str) -> float:
+    """The standard-normal draw behind :func:`response_jitter`, seeded
+    by the (env, test, device) triple."""
+    digest = hashlib.sha256(
+        f"{env_key}|{test_name}|{device_name}".encode()
+    ).digest()
+    seed = int.from_bytes(digest[:8], "big")
+    return float(np.random.default_rng(seed).standard_normal())
+
+
 def response_jitter(
     env_key: int,
     test_name: str,
@@ -105,16 +116,13 @@ def response_jitter(
     """Deterministic log-normal multiplier for (env, test, device).
 
     Models device-specific sensitivities the tuning knobs do not
-    capture; the same triple always produces the same factor.
+    capture; the same triple always produces the same factor.  numpy's
+    ``normal(0, sigma)`` is exactly ``sigma * standard_normal()`` for
+    the same stream, so one draw serves every sigma.
     """
     if sigma <= 0.0:
         return 1.0
-    digest = hashlib.sha256(
-        f"{env_key}|{test_name}|{device_name}".encode()
-    ).digest()
-    seed = int.from_bytes(digest[:8], "big")
-    rng = np.random.default_rng(seed)
-    return float(np.exp(rng.normal(0.0, sigma)))
+    return float(np.exp(sigma * jitter_draw(env_key, test_name, device_name)))
 
 
 def interleaving_probability(tuning: ExecutionTuning) -> float:
@@ -239,6 +247,35 @@ def bug_probability(
     return min(1.0, probability)
 
 
+def unit_probability(
+    profile: DeviceProfile,
+    bugs: BugSet,
+    tuning: ExecutionTuning,
+    characteristics: TestCharacteristics,
+    instances: int,
+    jitter: Callable[[float], float],
+) -> float:
+    """The per-instance probability of one unit, from characteristics.
+
+    The one composition of the closed forms — mechanism and bug
+    channels, instance dilution, stress focus, response jitter — that
+    every analytic path evaluates.  ``jitter(sigma)`` returns the
+    unit's response-jitter factor for the mechanism's sigma; it is
+    only called for units with a non-zero base probability.
+    """
+    probability = mechanism_probability(profile, tuning, characteristics)
+    probability = max(
+        probability,
+        bug_probability(profile, tuning, characteristics, bugs),
+    )
+    if probability <= 0.0:
+        return 0.0
+    factor = jitter(JITTER_SIGMA[characteristics.mechanism])
+    probability *= instance_dilution(instances)
+    probability *= stress_focus(tuning.stress, instances)
+    return float(min(1.0, probability * factor))
+
+
 @dataclass(frozen=True)
 class BatchModel:
     """Per-instance probability model for one device configuration."""
@@ -260,23 +297,16 @@ class BatchModel:
         (zero on a bug-free device).  ``instances`` is the parallelism
         the instance runs at — see :func:`instance_dilution`.
         """
-        characteristics = characterize(test)
-        probability = mechanism_probability(
-            self.profile, tuning, characteristics
+        return unit_probability(
+            self.profile,
+            self.bugs,
+            tuning,
+            characterize(test),
+            instances,
+            lambda sigma: response_jitter(
+                env_key, test.name, self.profile.short_name, sigma
+            ),
         )
-        probability = max(
-            probability,
-            bug_probability(self.profile, tuning, characteristics, self.bugs),
-        )
-        if probability <= 0.0:
-            return 0.0
-        sigma = JITTER_SIGMA[characteristics.mechanism]
-        jitter = response_jitter(
-            env_key, test.name, self.profile.short_name, sigma
-        )
-        probability *= instance_dilution(instances)
-        probability *= stress_focus(tuning.stress, instances)
-        return float(min(1.0, probability * jitter))
 
     def sample_kills(
         self,

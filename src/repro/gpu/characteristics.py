@@ -25,13 +25,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional
-
 from repro.errors import WitnessError
 from repro.litmus.instructions import AtomicLoad
-from repro.litmus.oracle import TestOracle
+from repro.litmus.oracle import oracle_for
 from repro.litmus.program import LitmusTest
 from repro.memory_model.enumeration import enumerate_executions
+from repro.memo import Memo
 from repro.memory_model.models import SC
 
 
@@ -115,28 +114,28 @@ def _difficulty(test: LitmusTest) -> float:
     return 0.7 ** max(0, constraints - 2)
 
 
-_CACHE: dict = {}
+#: Keyed by the full program rendering, so two distinct tests that
+#: happen to share a name cannot collide.
+_CHARACTERISTICS_MEMO = Memo("characteristics", maxsize=16_384)
 
 
 def characterize(test: LitmusTest) -> TestCharacteristics:
     """Compute (and memoise) the characteristics of a test.
 
-    The memoisation key is the full program rendering, so two distinct
-    tests that happen to share a name cannot collide.
-
     Raises:
         WitnessError: If the test has no target behaviour.
     """
-    cache_key = test.pretty()
-    cached: Optional[TestCharacteristics] = _CACHE.get(cache_key)
-    if cached is not None:
-        return cached
+    return _CHARACTERISTICS_MEMO.get_or_compute(
+        test.pretty(), lambda: _characterize(test)
+    )
+
+
+def _characterize(test: LitmusTest) -> TestCharacteristics:
     if test.target is None:
         raise WitnessError(
             f"test {test.name!r} has no target behaviour to characterise"
         )
-    oracle = TestOracle(test)
-    if not oracle.target_allowed():
+    if not oracle_for(test).target_allowed():
         mechanism = Mechanism.BUG_ONLY
     elif _target_sc_allowed(test):
         mechanism = Mechanism.INTERLEAVING
@@ -144,7 +143,7 @@ def characterize(test: LitmusTest) -> TestCharacteristics:
         mechanism = Mechanism.PARTIAL_SYNC
     else:
         mechanism = Mechanism.WEAK_REORDER
-    result = TestCharacteristics(
+    return TestCharacteristics(
         name=test.name,
         mechanism=mechanism,
         difficulty=_difficulty(test),
@@ -153,10 +152,3 @@ def characterize(test: LitmusTest) -> TestCharacteristics:
         has_stale_read_pattern=_stale_read_pattern(test),
         uses_fences=test.uses_fences,
     )
-    _CACHE[cache_key] = result
-    return result
-
-
-def clear_cache() -> None:
-    """Reset the memoisation cache (used by tests)."""
-    _CACHE.clear()

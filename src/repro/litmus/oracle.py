@@ -23,9 +23,10 @@ from __future__ import annotations
 from functools import cached_property
 from typing import FrozenSet, List, Optional, Set, Tuple
 
-from repro.errors import WitnessError
+from repro.errors import EnvironmentError_, WitnessError
 from repro.litmus.outcomes import Outcome, Signature, outcome_of_execution
-from repro.litmus.program import LitmusTest
+from repro.litmus.program import LitmusTest, structural_test_key
+from repro.memo import Memo, MemoStats
 from repro.memory_model.enumeration import enumerate_executions
 from repro.memory_model.execution import Execution
 
@@ -154,3 +155,33 @@ class TestOracle:
                 f"{len(self._target_signatures)} witness signature(s)"
             )
         return "\n".join(lines)
+
+
+#: Oracle construction enumerates every candidate execution, so it is
+#: by far the most expensive per-test step.  One bounded process-wide
+#: memo, keyed structurally, serves every layer that needs an oracle
+#: (mutant verification, characterization, operational execution), so
+#: a campaign over an unbounded stream of generated tests cannot grow
+#: process memory without limit.
+_ORACLE_MEMO = Memo("oracle", maxsize=512)
+
+
+def oracle_for(test: LitmusTest) -> TestOracle:
+    """The memoized oracle of ``test``."""
+    return _ORACLE_MEMO.get_or_compute(
+        structural_test_key(test), lambda: TestOracle(test)
+    )
+
+
+def oracle_cache_stats() -> MemoStats:
+    """Current hit/miss/eviction counters of the oracle memo."""
+    return _ORACLE_MEMO.stats()
+
+
+def reset_oracle_cache(maxsize: Optional[int] = None) -> None:
+    """Empty the oracle memo (and optionally rebound it)."""
+    if maxsize is not None:
+        if maxsize < 1:
+            raise EnvironmentError_("oracle cache maxsize must be >= 1")
+        _ORACLE_MEMO.maxsize = maxsize
+    _ORACLE_MEMO.clear()

@@ -18,6 +18,7 @@ Structural conventions, matching the paper:
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -294,3 +295,13 @@ class LitmusTest:
 
     def __repr__(self) -> str:
         return f"LitmusTest({self.name!r}, threads={self.thread_count})"
+
+
+def structural_test_key(test: LitmusTest) -> str:
+    """A stable structural hash of a test.
+
+    Two structurally identical tests (same instructions, values,
+    threads) share a key across processes and interpreter runs —
+    unlike ``hash()``, which is randomised per process.
+    """
+    return hashlib.sha256(test.pretty().encode("utf-8")).hexdigest()

@@ -31,7 +31,7 @@ from repro.litmus.instructions import (
     Fence,
     Instruction,
 )
-from repro.litmus.oracle import TestOracle
+from repro.litmus.oracle import TestOracle, oracle_for
 from repro.litmus.program import BehaviorSpec, LitmusTest
 from repro.memory_model.events import Location
 from repro.mutation.templates import (
@@ -241,7 +241,7 @@ def verify_test(test: LitmusTest, expect_allowed: bool) -> TestOracle:
         MutationError: If the target behaviour's legality does not
             match expectations, or it lacks an observable witness.
     """
-    oracle = TestOracle(test)
+    oracle = oracle_for(test)
     if oracle.target_allowed() != expect_allowed:
         expectation = "allowed" if expect_allowed else "disallowed"
         raise MutationError(

@@ -15,8 +15,8 @@ formal model:
   no-op by default so disabled instrumentation costs one dynamic
   dispatch and nothing else;
 * :mod:`repro.obs.export` — JSONL and Prometheus-text artifacts;
-* :mod:`repro.obs.caches` — delta publication of the oracle cache and
-  vectorized-backend memo counters;
+* :mod:`repro.obs.caches` — delta publication of every registered
+  :class:`repro.memo.Memo`'s counters;
 * :mod:`repro.obs.bench` — the shared ``BENCH_obs.json`` perf artifact.
 
 Typical use (the CLI's ``--metrics-out``/``--trace`` flags do this):

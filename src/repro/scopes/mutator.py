@@ -22,7 +22,7 @@ from typing import List, Tuple
 
 from repro.errors import MutationError
 from repro.litmus.instructions import Fence, Instruction
-from repro.litmus.oracle import TestOracle
+from repro.litmus.oracle import oracle_for
 from repro.litmus.program import LitmusTest
 from repro.mutation.mutators import (
     MutationPair,
@@ -91,8 +91,7 @@ class WeakeningScopeMutator:
             observer_threads=sorted(source.observer_threads),
             description=description,
         )
-        oracle = TestOracle(test)
-        if oracle.target_allowed() != expect_allowed:
+        if oracle_for(test).target_allowed() != expect_allowed:
             expectation = "allowed" if expect_allowed else "disallowed"
             raise MutationError(
                 f"scoped test {name!r}: target should be {expectation}"

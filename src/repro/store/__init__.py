@@ -1,9 +1,9 @@
 """repro.store — the persistent, content-addressed result store.
 
-Layer 9 of the architecture: where the in-process memo caches
-(:mod:`repro.backends.vectorized`, the oracle cache) die with their
-worker, this store persists completed unit results on disk, shared
-across workers, across runs, and across the service daemon.  A
+Layer 9 of the architecture: where the in-process memos
+(:mod:`repro.memo`) die with their worker, this store persists
+completed unit results on disk, shared across workers, across runs,
+and across the service daemon.  A
 campaign run with ``store_policy="reuse"`` partitions its grid into
 cached-vs-pending before dispatch; a warm re-run of an unchanged spec
 executes zero units and assembles bit-identical stats straight from

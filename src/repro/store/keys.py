@@ -2,8 +2,8 @@
 
 The address of one unit result is
 :func:`repro.env.runner.result_digest` over the canonical
-:func:`repro.env.runner.result_key` — the same tuple the vectorized
-backend memoizes on in-process, extended with the backend's name and
+:func:`repro.env.runner.result_key` — the same tuple the analytic
+grid pass memoizes on in-process, extended with the backend's name and
 behaviour version.  This module materialises a campaign spec exactly
 the way the worker does (same device factory, same test resolution,
 same environment regeneration, same iteration-count rule) and maps
@@ -53,11 +53,7 @@ def unit_digests(spec: "CampaignSpec") -> Dict[int, str]:
     digests: Dict[int, str] = {}
     for unit in state.units:
         environment = state.environments[(unit.kind.name, unit.env_key)]
-        iterations = (
-            spec.iterations_override
-            if spec.iterations_override is not None
-            else environment.iterations()
-        )
+        iterations = environment.iterations(spec.iterations_override)
         key = result_key(
             state.tests[unit.test_name],
             state.devices[unit.device_name],

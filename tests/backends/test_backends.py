@@ -1,20 +1,15 @@
-"""Behavioural tests for the three execution backends.
+"""Behavioural tests for the analytic and operational backends.
 
-The load-bearing property is bit identity: the vectorized backend
-must reproduce the analytic backend's kill counts *exactly* for the
-same seed, buggy devices and all environment kinds included.
+The load-bearing property is bit identity: the analytic grid pass
+(``AnalyticBackend().run_matrix``) must reproduce the canonical serial
+per-cell loop (``Backend.run_matrix``) *exactly* for the same seed,
+buggy devices and all environment kinds included.
 """
 
 import numpy as np
 import pytest
 
-from repro.backends import (
-    AnalyticBackend,
-    OperationalBackend,
-    VectorizedAnalyticBackend,
-    reset_vectorized_caches,
-    vectorized_cache_stats,
-)
+from repro.backends import AnalyticBackend, Backend, OperationalBackend
 from repro.env import (
     EnvironmentKind,
     Runner,
@@ -24,16 +19,32 @@ from repro.env import (
     unit_rng,
 )
 from repro.gpu import make_device, study_devices
+from repro.memo import registered_memos
 from repro.mutation import default_suite
 
 SUITE = default_suite()
+GRID_MEMOS = ("probability", "jitter", "run")
+
+
+def memo_stats(name):
+    return registered_memos()[name].stats()
+
+
+def clear_grid_memos():
+    for name in GRID_MEMOS:
+        registered_memos()[name].clear()
+
+
+def serial(*args, **kwargs):
+    """The canonical per-cell loop through ``AnalyticBackend.run``."""
+    return Backend.run_matrix(AnalyticBackend(), *args, **kwargs)
 
 
 @pytest.fixture(autouse=True)
 def fresh_caches():
-    reset_vectorized_caches()
+    clear_grid_memos()
     yield
-    reset_vectorized_caches()
+    clear_grid_memos()
 
 
 def grid_for(kind, environment_count=2, seed=3):
@@ -46,13 +57,15 @@ class TestBitIdentity:
         devices = [make_device("amd"), make_device("intel", buggy=True)]
         tests = SUITE.mutants[:6]
         environments = grid_for(kind)
-        reference = AnalyticBackend().run_matrix(
-            devices, tests, environments, seed=9
-        )
-        candidate = VectorizedAnalyticBackend().run_matrix(
+        reference = serial(devices, tests, environments, seed=9)
+        candidate = AnalyticBackend().run_matrix(
             devices, tests, environments, seed=9
         )
         assert candidate == reference
+        # A warm pass (every unit from the run memo) is identical too.
+        assert AnalyticBackend().run_matrix(
+            devices, tests, environments, seed=9
+        ) == reference
 
     def test_single_run_identical_to_analytic(self):
         device = make_device("nvidia")
@@ -62,56 +75,61 @@ class TestBitIdentity:
             device, test, environment, 50,
             unit_rng(1, environment.env_key, device.name, test.name),
         )
-        candidate = VectorizedAnalyticBackend().run(
+        (candidate,) = AnalyticBackend().run_matrix(
+            [device], [test], [environment], seed=1,
+            iterations_override=50,
+        )
+        assert candidate == reference
+        # The per-cell path is the plain scalar path: no memo lookups.
+        before = [memo_stats(name) for name in GRID_MEMOS]
+        AnalyticBackend().run(
             device, test, environment, 50,
             unit_rng(1, environment.env_key, device.name, test.name),
         )
-        assert candidate == reference
+        assert [memo_stats(name) for name in GRID_MEMOS] == before
 
     def test_conformance_tests_stay_dead(self):
         # Zero-probability units must not consume RNG draws either
         # way, or every later unit in a shared stream would drift.
         device = make_device("nvidia")
         tests = [SUITE.find("rev_poloc_rr_w"), SUITE.mutants[0]]
-        reference = AnalyticBackend().run_matrix(
-            [device], tests, [site_baseline()], seed=4
-        )
-        candidate = VectorizedAnalyticBackend().run_matrix(
+        reference = serial([device], tests, [site_baseline()], seed=4)
+        candidate = AnalyticBackend().run_matrix(
             [device], tests, [site_baseline()], seed=4
         )
         assert candidate == reference
         assert reference[0].kills == 0
 
     def test_iterations_override_respected(self):
-        runs = VectorizedAnalyticBackend().run_matrix(
+        runs = AnalyticBackend().run_matrix(
             [make_device("amd")], SUITE.mutants[:2], [pte_baseline()],
             seed=0, iterations_override=7,
         )
         assert all(run.iterations == 7 for run in runs)
 
     def test_empty_test_list(self):
-        assert VectorizedAnalyticBackend().run_matrix(
+        assert AnalyticBackend().run_matrix(
             [make_device("amd")], [], [pte_baseline()], seed=0
         ) == []
 
 
 class TestCaches:
     def test_repeat_matrix_hits_run_memo(self):
-        backend = VectorizedAnalyticBackend()
+        backend = AnalyticBackend()
         devices = study_devices()
         tests = SUITE.mutants[:4]
         environments = grid_for(EnvironmentKind.PTE)
         first = backend.run_matrix(devices, tests, environments, seed=2)
-        cold = vectorized_cache_stats()
-        assert cold.run_misses == len(first)
+        cold = memo_stats("run")
+        assert cold.misses == len(first)
         second = backend.run_matrix(devices, tests, environments, seed=2)
-        warm = vectorized_cache_stats()
+        warm = memo_stats("run")
         assert second == first
-        assert warm.run_hits == len(first)
-        assert warm.run_misses == cold.run_misses
+        assert warm.hits == len(first)
+        assert warm.misses == cold.misses
 
     def test_different_seed_misses_run_memo(self):
-        backend = VectorizedAnalyticBackend()
+        backend = AnalyticBackend()
         backend.run_matrix(
             [make_device("amd")], SUITE.mutants[:2], [pte_baseline()],
             seed=1,
@@ -120,7 +138,7 @@ class TestCaches:
             [make_device("amd")], SUITE.mutants[:2], [pte_baseline()],
             seed=2,
         )
-        assert vectorized_cache_stats().run_hits == 0
+        assert memo_stats("run").hits == 0
 
     def test_probability_cache_shared_across_instances(self):
         kwargs = dict(
@@ -129,21 +147,20 @@ class TestCaches:
             environments=[pte_baseline()],
             seed=5,
         )
-        VectorizedAnalyticBackend().run_matrix(**kwargs)
-        misses = vectorized_cache_stats().probability_misses
-        VectorizedAnalyticBackend().run_matrix(**kwargs)
-        stats = vectorized_cache_stats()
-        assert stats.probability_misses == misses
+        AnalyticBackend().run_matrix(**kwargs)
+        misses = memo_stats("probability").misses
+        AnalyticBackend().run_matrix(**kwargs)
+        assert memo_stats("probability").misses == misses
 
     def test_reset_clears_counters(self):
-        VectorizedAnalyticBackend().run_matrix(
+        AnalyticBackend().run_matrix(
             [make_device("amd")], SUITE.mutants[:1], [pte_baseline()],
             seed=0,
         )
-        reset_vectorized_caches()
-        stats = vectorized_cache_stats()
-        assert stats.run_hits == stats.run_misses == 0
-        assert stats.probability_size == stats.run_size == 0
+        clear_grid_memos()
+        run = memo_stats("run")
+        assert run.hits == run.misses == 0
+        assert memo_stats("probability").size == run.size == 0
 
 
 class TestOperationalBackend:
@@ -165,12 +182,13 @@ class TestRunnerComposition:
         devices = [make_device("amd")]
         tests = SUITE.mutants[:3]
         environments = grid_for(EnvironmentKind.SITE)
-        via_runner = Runner(backend="vectorized").run_matrix(
+        # The retired name builds the analytic backend.
+        runner = Runner(backend="vectorized")
+        assert type(runner.backend) is AnalyticBackend
+        via_runner = runner.run_matrix(
             devices, tests, environments, seed=6
         )
-        direct = AnalyticBackend().run_matrix(
-            devices, tests, environments, seed=6
-        )
+        direct = serial(devices, tests, environments, seed=6)
         assert via_runner == direct
 
     def test_runner_accepts_backend_instance(self):

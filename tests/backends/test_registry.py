@@ -8,7 +8,6 @@ from repro.backends import (
     Backend,
     OperationalBackend,
     TensorAnalyticBackend,
-    VectorizedAnalyticBackend,
     make_backend,
     register,
     registered_backends,
@@ -21,21 +20,22 @@ from repro.errors import EnvironmentError_
 class TestResolve:
     def test_builtin_backends_registered(self):
         assert registered_backends() == (
-            "analytic", "operational", "tensor", "vectorized"
+            "analytic", "operational", "tensor"
         )
 
     def test_resolve_returns_classes(self):
         assert resolve("analytic") is AnalyticBackend
         assert resolve("operational") is OperationalBackend
         assert resolve("tensor") is TensorAnalyticBackend
-        assert resolve("vectorized") is VectorizedAnalyticBackend
+        # Retired name: specs and journals pinning it keep resolving.
+        assert resolve("vectorized") is AnalyticBackend
 
     def test_unknown_name_canonical_error(self):
         # The one error message Runner and CampaignSpec both surface.
         with pytest.raises(
             EnvironmentError_,
             match=r"unknown backend 'quantum'; registered backends: "
-            r"analytic, operational, tensor, vectorized",
+            r"analytic, operational, tensor$",
         ):
             resolve("quantum")
 
@@ -65,7 +65,7 @@ class TestEquivalenceContracts:
 
     def test_declared_contracts(self):
         assert AnalyticBackend.equivalence == "bitwise"
-        assert VectorizedAnalyticBackend.equivalence == "bitwise"
+        assert resolve("vectorized").equivalence == "bitwise"
         assert TensorAnalyticBackend.equivalence == "statistical"
         assert OperationalBackend.equivalence == "directional"
 

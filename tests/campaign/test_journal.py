@@ -111,8 +111,10 @@ class TestBackendIdentity:
         assert header["spec"]["backend"] == "vectorized"
 
     def test_resume_under_different_backend_rejected(self, tmp_path):
-        # A vectorized journal must not be continued analytically (or
-        # vice versa): the backend is part of the spec fingerprint.
+        # A journal pinning the retired "vectorized" name must not be
+        # continued under "analytic" (or vice versa), even though both
+        # resolve to the analytic backend: the recorded backend name is
+        # part of the spec fingerprint.
         path = tmp_path / "journal.jsonl"
         run_campaign(
             spec(backend="vectorized"),

@@ -149,7 +149,8 @@ class TestCheckpointResume:
 
     def test_vectorized_crash_and_resume_is_exact(self, tmp_path):
         """The resumed backend comes from the journal, and a resumed
-        vectorized campaign still matches the analytic campaign."""
+        campaign under the retired ``vectorized`` name (an alias of
+        ``analytic``) matches the analytic campaign."""
         vec_spec = spec(backend="vectorized")
         uninterrupted = run_campaign(
             vec_spec,

@@ -276,3 +276,25 @@ class TestOperationalAnalyticConsistency:
         assert model.instance_probability(
             drop_one, HOT
         ) < model.instance_probability(drop_both, HOT)
+
+
+class TestOracleSharing:
+    def test_characterize_after_build_suite_hits_oracle_memo(self):
+        """Suite construction verifies every test through the one
+        oracle memo; characterizing the suite afterwards reuses those
+        oracles instead of enumerating a second time."""
+        from repro.env import oracle_cache_stats, reset_oracle_cache
+        from repro.memo import registered_memos
+        from repro.mutation import build_suite
+
+        reset_oracle_cache()
+        registered_memos()["characteristics"].clear()
+        suite = build_suite()
+        built = oracle_cache_stats()
+        tests = [*suite.conformance_tests, *suite.mutants]
+        assert built.misses >= len(tests)
+        for test in tests:
+            characterize(test)
+        after = oracle_cache_stats()
+        assert after.misses == built.misses
+        assert after.hits - built.hits == len({t.pretty() for t in tests})

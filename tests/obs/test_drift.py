@@ -383,6 +383,15 @@ class TestSeededBackendReruns:
         report = compare(again, [first])
         assert report.ok, report.describe()
 
+    def test_retired_vectorized_name_records_analytic_units(self):
+        # ``vectorized`` resolves to the analytic backend: the same
+        # units and kills (the fingerprints differ only because the
+        # recorded backend name is part of the grid identity).
+        analytic = record_from_outcome(self.outcome("analytic", seed=13))
+        retired = record_from_outcome(self.outcome("vectorized", seed=13))
+        assert retired.units_detail == analytic.units_detail
+        assert retired.kills == analytic.kills
+
     def test_tensor_backend_stays_inside_the_band(self):
         first = record_from_outcome(self.outcome("tensor", seed=13))
         again = record_from_outcome(self.outcome("tensor", seed=13))

@@ -243,6 +243,34 @@ class TestCampaignCommands:
         ) == 0
         assert "combined" in capsys.readouterr().out
 
+    def test_resume_retired_vectorized_journal(self, tmp_path, capsys):
+        # A journal pinning the retired "vectorized" backend name
+        # resumes end to end through the CLI.
+        out_dir = tmp_path / "camp"
+        out_dir.mkdir()
+        fixture = (
+            Path(__file__).parent / "campaign" / "fixtures"
+            / "vectorized-v5.jsonl"
+        )
+        (out_dir / "journal.jsonl").write_text(fixture.read_text())
+        assert main(
+            ["campaign", "resume", "--out", str(out_dir), "--serial"]
+        ) == 0
+        assert "11 executed" in capsys.readouterr().out
+        assert main(["campaign", "status", "--out", str(out_dir)]) == 0
+        assert "18/18 units done" in capsys.readouterr().out
+
+    def test_backend_flag_offers_only_live_backends(self, capsys):
+        for argv in (
+            ["tune", "--backend", "vectorized", "--out", "x.json"],
+            ["tune", "--mode", "analytic", "--out", "x.json"],
+        ):
+            with pytest.raises(SystemExit):
+                main(argv)
+        assert "choose from 'analytic', 'operational', 'tensor'" in (
+            capsys.readouterr().err
+        )
+
     def test_status_without_journal_errors(self, tmp_path, capsys):
         assert main(
             ["campaign", "status", "--out", str(tmp_path / "none")]
