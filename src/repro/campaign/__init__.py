@@ -2,8 +2,10 @@
 
 Turns "run the evaluation" into a first-class service: a declarative
 :class:`CampaignSpec` grid, a sharded multiprocessing executor with
-per-unit timeouts and bounded retry, an append-only JSONL journal for
-exact checkpoint/resume, and per-worker telemetry.  Sits between
+per-unit timeouts and bounded retry, one per-campaign unit book
+(:class:`~repro.campaign.book.UnitBook`) shared by every driver, an
+append-only JSONL journal for exact checkpoint/resume, and per-worker
+telemetry.  Sits between
 :mod:`repro.env` (which executes one unit) and :mod:`repro.analysis`
 (which aggregates the assembled :class:`TuningResult` objects).
 
@@ -22,6 +24,7 @@ Quick tour:
 {<EnvironmentKind.PTE>: TuningResult(...)}
 """
 
+from repro.campaign.book import assemble_results
 from repro.campaign.journal import CampaignJournal, JournalRecord
 from repro.campaign.metrics import CampaignMetrics, WorkerCounters
 from repro.campaign.scheduler import (
@@ -30,7 +33,6 @@ from repro.campaign.scheduler import (
     CampaignScheduler,
     CampaignStatus,
     ExecutorConfig,
-    assemble_results,
     campaign_status,
     resume_campaign,
     run_campaign,

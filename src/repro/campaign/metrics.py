@@ -1,13 +1,12 @@
 """Campaign telemetry: registry-backed counters and the run report.
 
-Worker processes record per-unit telemetry (unit wall time, simulated
-seconds, oracle-cache lookups) into a process-local
+Shards record per-unit telemetry (unit wall time, simulated seconds,
+oracle-cache lookups) into a private
 :class:`~repro.obs.registry.MetricsRegistry`; every shard result ships
-the drained snapshot and the scheduler merges it here.  That replaces
-the old per-field ``WorkerCounters`` plumbing: per-worker counters are
-now *views* over the merged registry, and the same snapshots are what
-``--metrics-out`` exports, so the operator report and the machine
-artifact can never disagree.
+the drained snapshot and the campaign's unit book merges it here.
+Per-worker counters are *views* over the merged registry, and the
+same snapshots are what ``--metrics-out`` exports, so the operator
+report and the machine artifact can never disagree.
 
 Wall-clock accounting keeps two clocks on purpose:
 ``started_at``/``finished_at`` are ``time.monotonic()`` (immune to
@@ -119,6 +118,16 @@ def record_unit(
         ).inc(oracle_misses)
 
 
+def record_retry(
+    registry: MetricsRegistry, worker_id: str, timed_out: bool
+) -> None:
+    """Fold one retried unit attempt into a campaign registry."""
+    registry.counter(
+        RETRIES_METRIC,
+        {"worker": worker_id, "timed_out": "true" if timed_out else "false"},
+    ).inc()
+
+
 @dataclass
 class CampaignMetrics:
     """Campaign-wide telemetry, aggregated from registry snapshots."""
@@ -158,13 +167,7 @@ class CampaignMetrics:
         )
 
     def observe_retry(self, worker_id: str, timed_out: bool) -> None:
-        self.registry.counter(
-            RETRIES_METRIC,
-            {
-                "worker": worker_id,
-                "timed_out": "true" if timed_out else "false",
-            },
-        ).inc()
+        record_retry(self.registry, worker_id, timed_out)
 
     def merge_worker_snapshot(
         self, payload: Optional[Mapping[str, Any]]

@@ -1,15 +1,17 @@
 """Worker-side execution of campaign work units.
 
-Each worker process is initialised once per campaign (suite built,
-devices and environments materialised from the spec) and then executes
-*shards* — batches of unit indices — returning picklable per-unit
-outcomes.  Per-unit work runs under a soft deadline (SIGALRM where
-available), and a transient failure in one unit never discards the
-rest of its shard: the scheduler retries exactly the failed unit.
-
-The same module drives serial execution: the scheduler's in-process
-fallback calls :func:`initialize_worker` / :func:`execute_shard`
-directly, so both paths share one code path per unit.
+A *shard* — a batch of unit indices of one spec — is the unit of
+dispatch.  :func:`run_shard` executes one in the calling process and
+returns picklable per-unit outcomes; :func:`execute_shard` is the one
+pool entry point (the campaign scheduler's pool and the service's
+shared pool both submit it), and :func:`configure_worker` the one pool
+initializer.  Shards carry their spec payload, so a worker materialises
+its state (suite, devices, environments) on the first shard of each
+spec and reuses it through the :func:`state_for` memo; serial
+campaigns run the very same shards in-process.  Per-unit work runs
+under a soft deadline (SIGALRM where available), and a transient
+failure in one unit never discards the rest of its shard: the driver
+retries exactly the failed unit.
 """
 
 from __future__ import annotations
@@ -19,19 +21,19 @@ import signal
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.analysis.serialize import run_to_dict
 from repro.campaign.metrics import record_unit
 from repro.env.environment import TestingEnvironment
-from repro.env.runner import Runner
+from repro.env.runner import Runner, TestRun
 from repro.litmus.oracle import oracle_cache_stats
 from repro.errors import ReproError
 from repro.gpu.device import Device, make_device
 from repro.campaign.spec import CampaignError, CampaignSpec, WorkUnit
+from repro.memo import Memo
 from repro.obs.registry import MetricsRegistry
 
 
@@ -127,7 +129,7 @@ class UnitOutcome:
     index: int
     worker_id: str
     elapsed: float
-    run: Optional[Dict[str, Any]] = None
+    run: Optional[TestRun] = None
     error: Optional[str] = None
     timed_out: bool = False
 
@@ -142,26 +144,17 @@ class ShardResult:
 
     ``metrics`` is the always-on campaign registry snapshot (unit
     timings, oracle lookups) drained since the previous shard;
-    ``obs`` is the optional full recorder payload (backend/ cache
+    ``obs`` is the pool worker's full recorder payload (backend/cache
     metrics, spans, events) when observability is enabled, else
-    ``None``.  Both are deltas, so the scheduler can merge shard
-    results in any arrival order and get exact totals.
+    ``None``; in-process shards record straight into the caller's
+    recorder and leave it ``None``.  Both are deltas, so a driver can
+    merge shard results in any arrival order and get exact totals.
     """
 
     outcomes: List[UnitOutcome]
     worker_id: str
     metrics: Optional[Dict[str, Any]] = None
     obs: Optional[Dict[str, Any]] = None
-
-
-#: Always-on per-process campaign telemetry, independent of the global
-#: obs recorder so the end-of-run report works with obs disabled.
-_UNIT_METRICS = MetricsRegistry()
-
-
-def drain_unit_metrics() -> Dict[str, Any]:
-    """Snapshot-and-reset this process's campaign unit telemetry."""
-    return _UNIT_METRICS.drain()
 
 
 @dataclass
@@ -174,31 +167,21 @@ class WorkerState:
     tests: Dict[str, Any]
     environments: Dict[Tuple[str, int], TestingEnvironment]
     units: List[WorkUnit]
-    fault_plan: Optional[FaultPlan] = None
-    worker_id: str = field(
-        default_factory=lambda: f"pid-{os.getpid()}"
-    )
 
 
-_STATE: Optional[WorkerState] = None
-
-#: Materialised worker states keyed by spec fingerprint.  A persistent
-#: service pool executes shards for *many* campaigns over the lifetime
-#: of one worker process; caching by fingerprint makes switching specs
-#: free after the first shard of each.  Bounded so a long-lived daemon
-#: serving thousands of jobs cannot grow worker memory without limit.
-_STATE_CACHE: Dict[str, WorkerState] = {}
-_STATE_CACHE_CAPACITY = 4
-_STATE_LOCK = threading.Lock()
+#: Materialised worker states keyed by spec fingerprint.  A pool worker
+#: (and a long-lived service pool above all) executes shards of *many*
+#: campaigns; caching by fingerprint makes switching specs free after
+#: the first shard of each, and the bound keeps a daemon serving
+#: thousands of jobs from growing worker memory without limit.
+_STATES = Memo("worker_state", 4)
+#: ``Memo`` is not thread-safe, and the service may run shards on a
+#: thread pool when a process pool is unavailable.
+_STATES_LOCK = threading.Lock()
 
 
 def state_for(spec_payload: Dict[str, Any]) -> WorkerState:
-    """The cached (or freshly built) state for one spec payload.
-
-    Eviction is least-recently-used over spec fingerprints.  Thread-
-    safe because the service may run shards on a thread pool when a
-    process pool is unavailable.
-    """
+    """The cached (or freshly built) state for one spec payload."""
     spec = CampaignSpec.from_dict(spec_payload)
     # Fault injection changes the materialised devices without
     # changing the fingerprint (that is its entire point), so it must
@@ -207,17 +190,10 @@ def state_for(spec_payload: Dict[str, Any]) -> WorkerState:
     fingerprint = spec.fingerprint() + (
         ":faulty" if _fault_buggy_devices() else ""
     )
-    with _STATE_LOCK:
-        state = _STATE_CACHE.pop(fingerprint, None)
-        if state is not None:
-            _STATE_CACHE[fingerprint] = state  # re-insert: now newest
-            return state
-    state = build_state(spec)
-    with _STATE_LOCK:
-        _STATE_CACHE[fingerprint] = state
-        while len(_STATE_CACHE) > _STATE_CACHE_CAPACITY:
-            _STATE_CACHE.pop(next(iter(_STATE_CACHE)))
-    return state
+    with _STATES_LOCK:
+        return _STATES.get_or_compute(
+            fingerprint, lambda: build_state(spec)
+        )
 
 
 def _resolve_test(name: str, synthesized=None):
@@ -247,9 +223,7 @@ def _resolve_test(name: str, synthesized=None):
         raise CampaignError(f"unknown test in campaign spec: {name!r}")
 
 
-def build_state(
-    spec: CampaignSpec, fault_plan: Optional[FaultPlan] = None
-) -> WorkerState:
+def build_state(spec: CampaignSpec) -> WorkerState:
     """Materialise devices, tests, and environments for one process."""
     runner = Runner(
         backend=spec.backend,
@@ -288,27 +262,18 @@ def build_state(
         tests=tests,
         environments=environments,
         units=spec.units(),
-        fault_plan=fault_plan,
     )
 
 
-def initialize_worker(
-    spec_payload: Dict[str, Any],
-    fault_payload: Optional[Dict[str, Any]] = None,
-    obs_payload: Optional[Dict[str, Any]] = None,
-) -> None:
-    """Process-pool initializer: build this worker's state once.
+def configure_worker(obs_payload: Optional[Dict[str, Any]]) -> None:
+    """The pool initializer: record like the parent process.
 
-    ``obs_payload`` is the scheduler recorder's configuration (or
-    ``None`` when observability is disabled); it makes every worker
-    record with the same capacities/sampling as the scheduler.
+    ``obs_payload`` is the parent recorder's configuration (or ``None``
+    when observability is disabled); it makes every worker record with
+    the same capacities/sampling as its parent.  Spec state is not
+    pinned here: shards name their spec (:func:`state_for`).
     """
-    global _STATE
     obs.configure(obs_payload)
-    _STATE = build_state(
-        CampaignSpec.from_dict(spec_payload),
-        FaultPlan.from_payload(fault_payload),
-    )
 
 
 @contextmanager
@@ -347,25 +312,22 @@ def _deadline(seconds: Optional[float]) -> Iterator[None]:
 def execute_unit(
     state: WorkerState,
     index: int,
-    timeout: Optional[float] = None,
-    metrics: Optional[MetricsRegistry] = None,
+    timeout: Optional[float],
+    metrics: MetricsRegistry,
+    worker_id: str,
+    fault_plan: Optional[FaultPlan] = None,
 ) -> UnitOutcome:
     """Run one work unit, returning a picklable outcome (never raises).
 
-    ``metrics`` is the registry unit telemetry lands in; shard
-    execution passes a private per-shard registry so concurrent shards
-    (thread-pool mode) never mix their deltas, while the scheduler's
-    serial path keeps the module-level one it drains after every unit.
+    ``metrics`` is the shard's private registry unit telemetry lands
+    in, so concurrent shards (thread-pool mode) never mix their deltas.
     """
     rec = obs.recorder()
-    registry = metrics if metrics is not None else _UNIT_METRICS
     started = time.perf_counter()
     before = oracle_cache_stats()
     try:
         unit = state.units[index]
-        if state.fault_plan is not None and state.fault_plan.should_fail(
-            index
-        ):
+        if fault_plan is not None and fault_plan.should_fail(index):
             raise TransientWorkerError(
                 f"injected transient failure for unit {index}"
             )
@@ -390,8 +352,8 @@ def execute_unit(
             time.sleep(sleep_factor * (time.perf_counter() - started))
         elapsed = time.perf_counter() - started
         record_unit(
-            registry,
-            state.worker_id,
+            metrics,
+            worker_id,
             elapsed=elapsed,
             sim_seconds=run.seconds,
             oracle_hits=after.hits - before.hits,
@@ -404,75 +366,59 @@ def execute_unit(
                 {"backend": state.spec.backend},
             )
         return UnitOutcome(
-            index=index,
-            worker_id=state.worker_id,
-            elapsed=elapsed,
-            run=run_to_dict(run),
+            index=index, worker_id=worker_id, elapsed=elapsed, run=run
         )
     except UnitTimeout as error:
         return UnitOutcome(
             index=index,
-            worker_id=state.worker_id,
+            worker_id=worker_id,
             elapsed=time.perf_counter() - started,
             error=str(error),
             timed_out=True,
         )
-    except Exception as error:  # transient or real: scheduler decides
+    except Exception as error:  # transient or real: the book decides
         return UnitOutcome(
             index=index,
-            worker_id=state.worker_id,
+            worker_id=worker_id,
             elapsed=time.perf_counter() - started,
             error=f"{type(error).__name__}: {error}",
         )
 
 
-def _shard_result(
-    state: WorkerState,
+def run_shard(
+    spec_payload: Dict[str, Any],
     indices: Sequence[int],
     timeout: Optional[float] = None,
+    fault_payload: Optional[Dict[str, Any]] = None,
 ) -> ShardResult:
-    """Run one shard against a state with a private metrics registry."""
+    """Run one shard in this process with a private metrics registry.
+
+    Serial campaigns call this directly; unit telemetry outside the
+    campaign registry (spans, backend and cache metrics) then lands in
+    this process's own recorder.
+    """
+    state = state_for(spec_payload)
+    fault_plan = FaultPlan.from_payload(fault_payload)
+    worker_id = f"pid-{os.getpid()}"
     local = MetricsRegistry()
     outcomes = [
-        execute_unit(state, index, timeout, metrics=local)
+        execute_unit(state, index, timeout, local, worker_id, fault_plan)
         for index in indices
     ]
     obs.publish_cache_metrics()
     return ShardResult(
-        outcomes=outcomes,
-        worker_id=state.worker_id,
-        metrics=local.drain(),
-        obs=obs.recorder().drain(),
+        outcomes=outcomes, worker_id=worker_id, metrics=local.drain()
     )
 
 
 def execute_shard(
-    indices: Sequence[int], timeout: Optional[float] = None
-) -> ShardResult:
-    """Pool task entry point: run a shard in this worker's state."""
-    if _STATE is None:
-        raise CampaignError(
-            "worker used before initialize_worker() ran"
-        )
-    return _shard_result(_STATE, indices, timeout)
-
-
-def initialize_service_worker(
-    obs_payload: Optional[Dict[str, Any]] = None,
-) -> None:
-    """Pool initializer for the *shared* service pool.
-
-    Unlike :func:`initialize_worker` no spec is pinned: the pool
-    outlives any one campaign, and :func:`execute_shard_for` resolves
-    (and caches) state per spec payload instead.
-    """
-    obs.configure(obs_payload)
-
-
-def execute_shard_for(
     spec_payload: Dict[str, Any],
     indices: Sequence[int],
     timeout: Optional[float] = None,
+    fault_payload: Optional[Dict[str, Any]] = None,
 ) -> ShardResult:
-    """Run a shard of the given spec in this (shared-pool) worker."""
-    return _shard_result(state_for(spec_payload), indices, timeout)
+    """The pool task entry point: :func:`run_shard` plus this worker's
+    drained recorder, for the driver to absorb."""
+    result = run_shard(spec_payload, indices, timeout, fault_payload)
+    result.obs = obs.recorder().drain()
+    return result

@@ -3,20 +3,25 @@
 Where :class:`~repro.campaign.scheduler.CampaignScheduler` drives one
 spec to completion and tears its pool down, the service keeps a single
 persistent pool alive and multiplexes *shards of many jobs* over it.
-The event loop owns all bookkeeping (journals, metrics, fair-share
-state); worker processes only ever see ``(spec payload, unit indices)``
-and return picklable shard results, so every mutation of job state is
+Workers run the same shard entry point as the scheduler's pool
+(:func:`~repro.campaign.worker.execute_shard`), and each job keeps the
+same per-campaign :class:`~repro.campaign.book.UnitBook` — journal,
+result store, health monitor, retry decisions — so a job books its
+units exactly like ``campaign run``.  What stays here is the daemon's
+own policy: async dispatch, fair share, pool-failure requeue, and SSE.
+The event loop owns every book, so every mutation of job state is
 single-threaded and an unclean death can only lose in-flight shards —
 which the journal-based resume path re-executes deterministically.
 
-Telemetry: every shard returns the worker's drained
-:class:`~repro.obs.registry.MetricsRegistry` delta.  The same delta is
-(1) merged into the job's registry (exact per-job totals), (2) merged
-into the service registry with ``tenant``/``job`` labels (exact
-service-wide totals, served at ``/metrics``), and (3) published to the
-job's SSE subscribers as the wire format — so a client that folds the
-stream's snapshots ends up with byte-identical totals to the job's
-final registry.
+Telemetry: the book turns every shard into one
+:class:`~repro.obs.registry.MetricsRegistry` delta (the worker's unit
+telemetry plus the retries it caused).  The same delta is (1) merged
+into the job's registry (exact per-job totals), (2) merged into the
+service registry with ``tenant``/``job`` labels (exact service-wide
+totals, served at ``/metrics``), and (3) published to the job's SSE
+subscribers as the wire format — so a client that folds the stream's
+snapshots ends up with byte-identical totals to the job's final
+registry.
 """
 
 from __future__ import annotations
@@ -37,16 +42,14 @@ from pathlib import Path
 from typing import Any, Deque, Dict, List, Optional, Set, Union
 
 from repro.analysis import save_result
-from repro.analysis.serialize import run_from_dict
-from repro.backends import resolve
+from repro.campaign.book import UnitBook
 from repro.campaign.journal import CampaignJournal
 from repro.campaign.metrics import publish_store_events
-from repro.campaign.scheduler import assemble_results
-from repro.campaign.spec import CampaignError, CampaignSpec, WorkUnit
+from repro.campaign.spec import CampaignSpec
 from repro.campaign.worker import (
     ShardResult,
-    execute_shard_for,
-    initialize_service_worker,
+    configure_worker,
+    execute_shard,
 )
 from repro.obs.health import (
     HealthMonitor,
@@ -59,7 +62,6 @@ from repro.obs.timeline import (
     Ledger,
     record_from_results,
 )
-from repro.store import ResultStore, unit_digests
 from repro.service.fairshare import FairShareScheduler, TenantQuota
 from repro.service.jobstore import (
     JobRecord,
@@ -128,30 +130,15 @@ class ActiveJob:
     """In-memory state of one non-terminal job."""
 
     record: JobRecord
-    journal: CampaignJournal
-    units: List[WorkUnit]
-    pending: Deque[int]
+    book: UnitBook
     spec_payload: Dict[str, Any]
-    done: int = 0
-    resumed: int = 0
-    #: Units satisfied from the persistent result store (a subset of
-    #: ``done``); includes attempts==0 records recovered from the
-    #: journal after a restart.
-    cached: int = 0
+    pending: Deque[int] = field(default_factory=deque)
     inflight: int = 0
     cancelled: bool = False
     finalizing: bool = False
     seq: int = 0
     started_monotonic: float = field(default_factory=time.monotonic)
     pool_failures: int = 0
-    attempts: Dict[int, int] = field(default_factory=dict)
-    failed: Dict[int, str] = field(default_factory=dict)
-    registry: MetricsRegistry = field(default_factory=MetricsRegistry)
-    store: Optional[ResultStore] = None
-    digests: Dict[int, str] = field(default_factory=dict)
-    backend_name: str = ""
-    backend_version: int = 1
-    health: HealthMonitor = field(default_factory=HealthMonitor)
     subscribers: List["asyncio.Queue[Optional[Dict[str, Any]]]"] = field(
         default_factory=list
     )
@@ -165,12 +152,73 @@ class ActiveJob:
         return self.record.tenant
 
     @property
+    def journal(self) -> CampaignJournal:
+        return self.book.journal
+
+    @property
+    def registry(self) -> MetricsRegistry:
+        return self.book.metrics.registry
+
+    @property
+    def health(self) -> HealthMonitor:
+        return self.book.health
+
+    @property
+    def done(self) -> int:
+        return len(self.book.runs)
+
+    @property
+    def failed(self) -> Dict[int, str]:
+        return self.book.failed
+
+    @property
     def total(self) -> int:
-        return len(self.units)
+        return len(self.book.units)
 
     @property
     def drained(self) -> bool:
         return not self.pending and self.inflight == 0
+
+    def envelope(
+        self, event: str, metrics: Optional[Dict[str, Any]] = None
+    ) -> Dict[str, Any]:
+        """This job's SSE event envelope (see :func:`sse_envelope`)."""
+        return sse_envelope(
+            event,
+            self.record,
+            seq=self.seq,
+            done=self.done,
+            resumed=self.book.metrics.resumed_units,
+            failed=len(self.failed),
+            total=self.total,
+            metrics=metrics,
+        )
+
+
+def sse_envelope(
+    event: str,
+    record: JobRecord,
+    seq: int,
+    done: int,
+    resumed: int,
+    failed: int,
+    total: int,
+    metrics: Optional[Dict[str, Any]] = None,
+) -> Dict[str, Any]:
+    """The one shape of every event on a job's SSE stream."""
+    return {
+        "event": event,
+        "seq": seq,
+        "job": record.job_id,
+        "tenant": record.tenant,
+        "state": record.state,
+        "done": done,
+        "resumed": resumed,
+        "failed": failed,
+        "total": total,
+        "utc": time.time(),
+        "metrics": metrics,
+    }
 
 
 def _relabel(
@@ -246,7 +294,7 @@ class CampaignService:
             return ProcessPoolExecutor(
                 max_workers=self.config.workers,
                 mp_context=multiprocessing.get_context("spawn"),
-                initializer=initialize_service_worker,
+                initializer=configure_worker,
                 initargs=(None,),
             )
         except Exception as error:  # no fork/semaphores: degrade
@@ -327,33 +375,24 @@ class CampaignService:
     def _activate(self, record: JobRecord) -> ActiveJob:
         journal = self.store.journal(record.job_id)
         journal.acquire_lock()
-        units = record.spec.units()
-        records = journal.load_records()
-        done_keys = {rec.key for rec in records}
-        pending: Deque[int] = deque(
-            unit.index for unit in units if unit.key not in done_keys
+        book = UnitBook(
+            record.spec,
+            journal,
+            self.config.max_retries,
+            log=lambda message: self.log(
+                f"[service] job {record.job_id}: {message}"
+            ),
         )
         job = ActiveJob(
-            record=record,
-            journal=journal,
-            units=units,
-            pending=pending,
-            spec_payload=record.spec.to_dict(),
-            done=len(done_keys),
-            resumed=len(done_keys),
-            cached=sum(1 for rec in records if rec.attempts == 0),
+            record=record, book=book, spec_payload=record.spec.to_dict()
         )
-        job.health = self._make_health(job)
-        spec = record.spec
-        if spec.store_path is not None and spec.store_policy != "off":
-            job.store = ResultStore(spec.store_path)
-            job.digests = unit_digests(spec)
-            backend_class = resolve(spec.backend)
-            job.backend_name = backend_class.name
-            job.backend_version = backend_class.version
+        book.health = self._make_health(job)
+        pending = book.resume()
+        if book.store is not None:
             publish_store_events(job.registry, {}, materialize=True)
-            if spec.store_policy == "reuse" and job.pending:
-                self._load_from_store(job)
+            pending = book.reuse(pending)
+            self._publish_store_delta(job, book.store.drain_events())
+        job.pending.extend(pending)
         self.jobs[record.job_id] = job
         self._publish(job, "queued")
         if job.pending:
@@ -395,34 +434,6 @@ class CampaignService:
                 job, "health", health=event
             ),
         )
-
-    def _load_from_store(self, job: ActiveJob) -> None:
-        """Drain store hits from a job's pending queue before dispatch.
-
-        Mirrors the scheduler's partition: hits are journaled with
-        ``attempts=0`` (the store-loaded marker), so restart recovery
-        and stats assembly treat them exactly like executed units.
-        """
-        assert job.store is not None
-        still_pending: Deque[int] = deque()
-        hits = 0
-        for index in job.pending:
-            cached = job.store.get(job.digests[index])
-            if cached is None:
-                still_pending.append(index)
-                continue
-            _, run = cached
-            job.journal.append(job.units[index], run, 0.0, 0)
-            job.done += 1
-            job.cached += 1
-            hits += 1
-        job.pending = still_pending
-        self._publish_store_delta(job, job.store.drain_events())
-        if hits:
-            self.log(
-                f"[service] job {job.job_id}: {hits} unit(s) loaded "
-                f"from the result store"
-            )
 
     def _publish_store_delta(
         self, job: ActiveJob, events: Dict[Any, int]
@@ -486,7 +497,7 @@ class CampaignService:
         try:
             result = await loop.run_in_executor(
                 self._executor,
-                execute_shard_for,
+                execute_shard,
                 job.spec_payload,
                 indices,
                 self.config.unit_timeout,
@@ -534,56 +545,15 @@ class CampaignService:
             self._wake.set()
 
     def _absorb_shard(self, job: ActiveJob, result: ShardResult) -> None:
-        retries: List[int] = []
-        for outcome in result.outcomes:
-            attempts = job.attempts.get(outcome.index, 0) + 1
-            job.attempts[outcome.index] = attempts
-            if outcome.ok:
-                unit = job.units[outcome.index]
-                run = run_from_dict(outcome.run)
-                job.journal.append(
-                    unit, run, outcome.elapsed, attempts
-                )
-                job.done += 1
-                job.health.observe_unit(
-                    outcome.elapsed,
-                    worker=outcome.worker_id,
-                    unit=outcome.index,
-                )
-                job.health.observe_kills(
-                    run.kills,
-                    run.iterations * run.instances_per_iteration,
-                    unit=outcome.index,
-                )
-                if job.store is not None:
-                    job.store.put(
-                        job.digests[outcome.index],
-                        unit.kind,
-                        run,
-                        job.backend_name,
-                        job.backend_version,
-                    )
-            elif job.cancelled:
-                continue
-            elif attempts <= self.config.max_retries:
-                retries.append(outcome.index)
-            else:
-                job.failed[outcome.index] = (
-                    outcome.error or "unknown error"
-                )
+        retries, delta = job.book.absorb(result)
         if retries and not job.cancelled:
             job.pending.extend(retries)
             self.fairshare.add_job(job.tenant, job.job_id)
-        if job.store is not None:
-            self._publish_store_delta(job, job.store.drain_events())
-        delta = result.metrics
-        if delta:
-            job.registry.merge(delta)
-            self.registry.merge(
-                _relabel(
-                    delta, {"tenant": job.tenant, "job": job.job_id}
-                )
-            )
+        if job.book.store is not None:
+            self._publish_store_delta(job, job.book.store.drain_events())
+        self.registry.merge(
+            _relabel(delta, {"tenant": job.tenant, "job": job.job_id})
+        )
         self._publish(job, "progress", metrics=delta)
 
     # -- finalization / cancellation ---------------------------------------
@@ -591,11 +561,7 @@ class CampaignService:
     def _write_stats(self, job: ActiveJob) -> None:
         """Per-kind stats + metrics snapshot next to the journal,
         plus the job's normalized run record in the service ledger."""
-        records = job.journal.load_records()
-        results = assemble_results(
-            job.record.spec,
-            [(rec.index, rec.kind, rec.run) for rec in records],
-        )
+        results = job.book.results()
         directory = self.store.job_dir(job.job_id)
         for kind, result in results.items():
             save_result(result, directory / f"{kind.name.lower()}.json")
@@ -645,7 +611,7 @@ class CampaignService:
                 f"(first: #{index}: {message})"
             )
         if state == JobState.DONE:
-            # Stats assembly re-reads the whole journal; keep the
+            # Writing the stats files serializes every run; keep the
             # event loop responsive while it happens.
             await asyncio.get_running_loop().run_in_executor(
                 None, self._write_stats, job
@@ -700,19 +666,7 @@ class CampaignService:
         health: Optional[Dict[str, Any]] = None,
     ) -> None:
         job.seq += 1
-        payload = {
-            "event": event,
-            "seq": job.seq,
-            "job": job.job_id,
-            "tenant": job.tenant,
-            "state": job.record.state,
-            "done": job.done,
-            "resumed": job.resumed,
-            "failed": len(job.failed),
-            "total": job.total,
-            "utc": time.time(),
-            "metrics": metrics,
-        }
+        payload = job.envelope(event, metrics)
         if health is not None:
             payload["health"] = health
         for queue in list(job.subscribers):
@@ -734,36 +688,10 @@ class CampaignService:
         job = self.jobs.get(job_id)
         if job is not None:
             queue.put_nowait(
-                {
-                    "event": "snapshot",
-                    "seq": job.seq,
-                    "job": job.job_id,
-                    "tenant": job.tenant,
-                    "state": job.record.state,
-                    "done": job.done,
-                    "resumed": job.resumed,
-                    "failed": len(job.failed),
-                    "total": job.total,
-                    "utc": time.time(),
-                    "metrics": job.registry.snapshot(),
-                }
+                job.envelope("snapshot", job.registry.snapshot())
             )
             if job.record.terminal:
-                queue.put_nowait(
-                    {
-                        "event": job.record.state,
-                        "seq": job.seq,
-                        "job": job.job_id,
-                        "tenant": job.tenant,
-                        "state": job.record.state,
-                        "done": job.done,
-                        "resumed": job.resumed,
-                        "failed": len(job.failed),
-                        "total": job.total,
-                        "utc": time.time(),
-                        "metrics": None,
-                    }
-                )
+                queue.put_nowait(job.envelope(job.record.state))
                 queue.put_nowait(None)
             else:
                 job.subscribers.append(queue)
@@ -773,19 +701,15 @@ class CampaignService:
         record = self.store.load(job_id)
         progress = self.store.progress(record)
         queue.put_nowait(
-            {
-                "event": record.state,
-                "seq": 0,
-                "job": record.job_id,
-                "tenant": record.tenant,
-                "state": record.state,
-                "done": progress["done"],
-                "resumed": 0,
-                "failed": 0,
-                "total": progress["total"],
-                "utc": time.time(),
-                "metrics": None,
-            }
+            sse_envelope(
+                record.state,
+                record,
+                seq=0,
+                done=progress["done"],
+                resumed=0,
+                failed=0,
+                total=progress["total"],
+            )
         )
         queue.put_nowait(None)
         return queue
@@ -819,7 +743,7 @@ class CampaignService:
                 "pending": len(job.pending),
                 "inflight": job.inflight,
                 "cancelled": job.cancelled,
-                "cached": job.cached,
+                "cached": job.book.cached,
                 "health": job.health.summary(),
             }
         )

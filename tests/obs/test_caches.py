@@ -50,3 +50,32 @@ class TestPublishAcrossClear:
             assert oracle_events(rec.registry, "hit") == 1
         finally:
             obs.disable()
+
+
+class TestWorkerStateMemo:
+    def test_state_for_publishes_under_its_own_label(self):
+        """Worker states are a memo like any other: the first shard of
+        a spec misses, later shards of the same spec hit."""
+        from repro.campaign import smoke_spec
+        from repro.campaign.worker import state_for
+        from repro.mutation import default_suite
+
+        names = [mutant.name for mutant in default_suite().mutants]
+        # A seed no other test uses, so the first lookup is a miss.
+        payload = smoke_spec(names, seed=918273).to_dict()
+        rec = obs.enable()
+        try:
+            first = state_for(payload)
+            assert state_for(payload) is first
+            assert state_for(dict(payload)) is first
+            obs.publish_cache_metrics()
+            events = {
+                event: rec.registry.counter(
+                    CACHE_EVENTS_METRIC,
+                    {"cache": "worker_state", "event": event},
+                ).value
+                for event in ("hit", "miss")
+            }
+            assert events == {"hit": 2, "miss": 1}
+        finally:
+            obs.disable()

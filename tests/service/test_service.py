@@ -277,6 +277,50 @@ class TestTelemetryAcceptance:
         assert job_events["done"] == 1
 
 
+class TestRetryAccounting:
+    def test_service_counts_retries_like_the_scheduler(
+        self, tmp_path, monkeypatch
+    ):
+        """A unit that fails once is retried, and the retry reaches the
+        job and service registries exactly as `campaign run` counts it."""
+        from repro.campaign.metrics import RETRIES_METRIC
+        from repro.env.runner import Runner
+
+        original = Runner.run
+        calls = []
+        lock = threading.Lock()
+
+        def fail_first_call(self, *args, **kwargs):
+            with lock:
+                calls.append(None)
+                first = len(calls) == 1
+            if first:
+                raise RuntimeError("injected transient failure")
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Runner, "run", fail_first_call)
+        scheduler = run_campaign(
+            spec(), config=ExecutorConfig(workers=1, retry_backoff=0.0)
+        )
+        calls.clear()
+
+        async def scenario():
+            service = CampaignService(config(tmp_path))
+            await service.start()
+            record = await service.submit(spec().to_dict(), "alice")
+            status = await wait_terminal(service, record.job_id)
+            job_registry = service.jobs[record.job_id].registry
+            service_registry = service.metrics_registry()
+            await service.stop()
+            return status, job_registry, service_registry
+
+        status, job_registry, service_registry = run_async(scenario())
+        assert scheduler.metrics.retries == 1
+        assert status["state"] == "done"
+        assert job_registry.family_total(RETRIES_METRIC) == 1
+        assert service_registry.family_total(RETRIES_METRIC) == 1
+
+
 class TestHttpRoundTrip:
     def test_http_submit_watch_status_metrics(self, tmp_path):
         """The whole HTTP surface against a live in-process server."""
