@@ -5,7 +5,9 @@ seed, unit key) — not on worker count, shard boundaries, completion
 order, or whether the campaign was interrupted and resumed.
 """
 
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -13,6 +15,7 @@ from repro.analysis.serialize import result_to_dict
 from repro.campaign import (
     CampaignFailure,
     CampaignJournal,
+    CampaignScheduler,
     CampaignSpec,
     ExecutorConfig,
     FaultPlan,
@@ -286,3 +289,26 @@ class TestConfig:
 
     def test_default_workers_positive(self):
         assert ExecutorConfig().effective_workers() >= 1
+
+
+class TestLifetime:
+    def test_finished_scheduler_is_freed_without_a_collection(self):
+        # A scheduler <-> unit book reference cycle would keep every
+        # finished campaign's book (units, digests, runs) alive until
+        # the next full collection, so peak memory would depend on
+        # when the collector happens to run.
+        scheduler = CampaignScheduler(
+            spec(), config=serial_config(), log=lambda message: None
+        )
+        alive = weakref.ref(scheduler)
+        book = weakref.ref(scheduler.book)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            scheduler.run()
+            del scheduler
+            assert alive() is None
+            assert book() is None
+        finally:
+            if enabled:
+                gc.enable()
