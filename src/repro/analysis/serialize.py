@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import threading
 from pathlib import Path
 from typing import Any, Dict, Union
 
@@ -18,15 +19,30 @@ from repro.env.parameters import EnvironmentParameters
 from repro.env.runner import TestRun
 from repro.env.tuning import TuningResult
 from repro.errors import AnalysisError, ReproError
+from repro.memo import Memo
 
 FORMAT_VERSION = 1
 
 
+#: Each environment's parameters as a dict, built once: a campaign
+#: serialises the same few hundred environments on every run it writes.
+_PARAMETERS_MEMO = Memo("environment_parameters", maxsize=4096)
+#: ``Memo`` is not thread-safe, and the service writes stats files on a
+#: thread while its event loop journals other jobs' units.
+_PARAMETERS_LOCK = threading.Lock()
+
+
 def environment_to_dict(environment: TestingEnvironment) -> Dict[str, Any]:
+    parameters = environment.parameters
+    with _PARAMETERS_LOCK:
+        cached = _PARAMETERS_MEMO.get_or_compute(
+            parameters, lambda: dataclasses.asdict(parameters)
+        )
     return {
         "kind": environment.kind.value,
         "env_key": environment.env_key,
-        "parameters": dataclasses.asdict(environment.parameters),
+        # A copy, so no caller can edit the memoized dict.
+        "parameters": dict(cached),
     }
 
 

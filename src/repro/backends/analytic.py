@@ -5,11 +5,12 @@ workload translation, one per-instance probability
 (:func:`repro.gpu.batch.unit_probability`), and one binomial draw per
 iteration from the unit's :func:`~repro.env.runner.unit_rng` stream.
 
-``run`` — the per-cell path campaigns and Table 4 use — is the plain
-scalar path, with no memo lookups.  ``run_matrix`` is one pass per
-grid: workload, tuning and seconds are computed once per (environment,
-device), tests are characterized once, and probabilities, jitter
-factors and whole completed units are memoized under the canonical
+``run`` — the per-cell path Table 4 uses — is the plain scalar path,
+with no memo lookups.  ``run_matrix`` — the path campaign workers
+take, one call per shard rectangle — is one pass per grid: workload,
+tuning and seconds are computed once per (environment, device), tests
+are characterized once, and probabilities, jitter factors and whole
+completed units are memoized under the canonical
 :func:`~repro.env.runner.result_key`, so re-evaluating a grid costs
 dictionary lookups.  Sampling is never batched, so both paths give
 bit-identical records; ``python -m repro.backends`` asserts it.

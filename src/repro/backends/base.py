@@ -11,7 +11,9 @@ The protocol is deliberately small: ``run`` executes one unit,
 ``run_matrix`` executes a grid as :class:`~repro.env.runner.TestRun`
 records, and ``run_grid`` executes a grid as a :class:`GridResult`
 tensor — the documented grid-result path that lets array-level
-backends skip per-unit record construction entirely.  The default
+backends skip per-unit record construction entirely.  ``run_grid`` is
+the one seam campaigns execute through: a campaign worker makes one
+call per shard rectangle, whatever the backend.  The default
 ``run_matrix`` is the canonical serial loop (environments outermost,
 then devices, then tests, one :func:`~repro.env.runner.unit_rng`
 stream per unit); a backend overrides it only when it can batch the
@@ -314,11 +316,14 @@ class Backend(abc.ABC):
     ) -> GridResult:
         """Execute the grid, returning tensors instead of records.
 
-        The grid-result path: array-level backends override this and
+        The grid-result path, and the seam campaign workers call once
+        per shard rectangle.  Array-level backends override this and
         implement ``run_matrix`` as ``run_grid(...).to_runs()``, so
         they never round-trip through per-unit ``run``.  The default
-        packs the canonical ``run_matrix`` output, so every backend
-        offers both representations with identical values.
+        packs the canonical ``run_matrix`` output — the analytic grid
+        pass, or the per-cell serial loop for backends without a grid
+        of their own — so every backend offers both representations
+        with identical values.
         """
         runs = self.run_matrix(
             devices,

@@ -1,8 +1,9 @@
 """Campaign orchestration: the production layer over the runner.
 
 Turns "run the evaluation" into a first-class service: a declarative
-:class:`CampaignSpec` grid, a sharded multiprocessing executor with
-per-unit timeouts and bounded retry, one per-campaign unit book
+:class:`CampaignSpec` grid, a sharded multiprocessing executor that
+runs each shard as exact sub-grids through ``Backend.run_grid``, with
+per-unit timeout budgets and bounded retry, one per-campaign unit book
 (:class:`~repro.campaign.book.UnitBook`) shared by every driver, an
 append-only JSONL journal for exact checkpoint/resume, and per-worker
 telemetry.  Sits between

@@ -54,7 +54,8 @@ class ExecutorConfig:
     workers: Optional[int] = None
     #: Units per shard; amortises dispatch over sub-ms units.
     shard_size: int = 64
-    #: Soft per-unit deadline enforced inside the worker (seconds).
+    #: Soft per-unit deadline enforced inside the worker (seconds); a
+    #: rectangle of n units runs under n times it.
     unit_timeout: Optional[float] = 30.0
     #: Retries per unit before the failure becomes permanent.
     max_retries: int = 2

@@ -6,12 +6,18 @@ returns picklable per-unit outcomes; :func:`execute_shard` is the one
 pool entry point (the campaign scheduler's pool and the service's
 shared pool both submit it), and :func:`configure_worker` the one pool
 initializer.  Shards carry their spec payload, so a worker materialises
-its state (suite, devices, environments) on the first shard of each
-spec and reuses it through the :func:`state_for` memo; serial
-campaigns run the very same shards in-process.  Per-unit work runs
-under a soft deadline (SIGALRM where available), and a transient
-failure in one unit never discards the rest of its shard: the driver
-retries exactly the failed unit.
+its state (suite, devices, environments, backend) on the first shard
+of each spec and reuses it through the :func:`state_for` memo; serial
+campaigns run the very same shards in-process.
+
+A shard executes as exact sub-grids (:func:`rectangles`): each is one
+:meth:`~repro.backends.base.Backend.run_grid` call, so array backends
+pay their per-call overhead once per rectangle rather than once per
+cell, and backends without a native grid run their per-cell loop
+inside ``run_grid``.  Each rectangle runs under a soft deadline
+(SIGALRM where available), and a failure in one rectangle never
+discards the rest of its shard: the driver retries exactly the failed
+units.
 """
 
 from __future__ import annotations
@@ -23,12 +29,15 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
+)
 
 from repro import obs
+from repro.backends import Backend, make_backend
 from repro.campaign.metrics import record_unit
 from repro.env.environment import TestingEnvironment
-from repro.env.runner import Runner, TestRun
+from repro.env.runner import TestRun
 from repro.litmus.oracle import oracle_cache_stats
 from repro.errors import ReproError
 from repro.gpu.device import Device, make_device
@@ -65,7 +74,8 @@ def _fault_sleep_factor() -> float:
 
 
 class UnitTimeout(ReproError):
-    """A work unit exceeded its per-unit deadline."""
+    """Work units exceeded their deadline (per unit, times the cells
+    of the rectangle they ran in)."""
 
 
 class TransientWorkerError(ReproError):
@@ -162,7 +172,7 @@ class WorkerState:
     """Everything a worker needs, materialised once from the spec."""
 
     spec: CampaignSpec
-    runner: Runner
+    backend: Backend
     devices: Dict[str, Device]
     tests: Dict[str, Any]
     environments: Dict[Tuple[str, int], TestingEnvironment]
@@ -225,10 +235,9 @@ def _resolve_test(name: str, synthesized=None):
 
 def build_state(spec: CampaignSpec) -> WorkerState:
     """Materialise devices, tests, and environments for one process."""
-    runner = Runner(
-        backend=spec.backend,
+    backend = make_backend(
+        spec.backend,
         max_operational_instances=spec.max_operational_instances,
-        iterations_override=spec.iterations_override,
     )
     devices = {
         name: make_device(
@@ -257,7 +266,7 @@ def build_state(spec: CampaignSpec) -> WorkerState:
             environments[(kind.name, environment.env_key)] = environment
     return WorkerState(
         spec=spec,
-        runner=runner,
+        backend=backend,
         devices=devices,
         tests=tests,
         environments=environments,
@@ -278,7 +287,7 @@ def configure_worker(obs_payload: Optional[Dict[str, Any]]) -> None:
 
 @contextmanager
 def _deadline(seconds: Optional[float]) -> Iterator[None]:
-    """A soft per-unit deadline via SIGALRM, where the platform has it.
+    """A soft deadline via SIGALRM, where the platform has it.
 
     Workers are single-threaded processes, so an interval timer in the
     worker is the cheapest preemption we can get; on platforms without
@@ -298,7 +307,7 @@ def _deadline(seconds: Optional[float]) -> Iterator[None]:
         return
 
     def _on_alarm(signum: int, frame: object) -> None:
-        raise UnitTimeout(f"unit exceeded {seconds:.3f}s deadline")
+        raise UnitTimeout(f"units exceeded {seconds:.3f}s deadline")
 
     previous = signal.signal(signal.SIGALRM, _on_alarm)
     signal.setitimer(signal.ITIMER_REAL, float(seconds))
@@ -309,80 +318,152 @@ def _deadline(seconds: Optional[float]) -> Iterator[None]:
         signal.signal(signal.SIGALRM, previous)
 
 
-def execute_unit(
+@dataclass(frozen=True)
+class Rectangle:
+    """One exact sub-grid of a shard: one (kind, environment), some
+    devices, and the same tests on each of those devices.
+
+    ``indices`` lists the unit indices devices-outermost, the order
+    :meth:`~repro.backends.base.GridResult.to_runs` returns a
+    one-environment grid's runs in.
+    """
+
+    kind: str
+    env_key: int
+    device_names: Tuple[str, ...]
+    test_names: Tuple[str, ...]
+    indices: Tuple[int, ...]
+
+
+def rectangles(
+    units: Sequence[WorkUnit], indices: Iterable[int]
+) -> List[Rectangle]:
+    """Split unit indices into rectangles that cover exactly them.
+
+    Units group by (kind, env_key), and within a group the devices
+    asking for the same tests share one rectangle, so no cell outside
+    ``indices`` is ever computed.  A contiguous shard of canonical
+    order gives at most three rectangles per (kind, env): the first
+    device's tail, the whole devices, and the last device's head.
+    Retry and resume sets with gaps group the same way.
+    """
+    groups: Dict[Tuple[str, int], Dict[str, List[int]]] = {}
+    for index in sorted(set(indices)):
+        unit = units[index]
+        rows = groups.setdefault((unit.kind.name, unit.env_key), {})
+        rows.setdefault(unit.device_name, []).append(index)
+    result: List[Rectangle] = []
+    for (kind, env_key), rows in groups.items():
+        by_tests: Dict[Tuple[str, ...], List[List[int]]] = {}
+        for row in rows.values():
+            tests = tuple(units[index].test_name for index in row)
+            by_tests.setdefault(tests, []).append(row)
+        for tests, device_rows in by_tests.items():
+            result.append(
+                Rectangle(
+                    kind=kind,
+                    env_key=env_key,
+                    device_names=tuple(
+                        units[row[0]].device_name for row in device_rows
+                    ),
+                    test_names=tests,
+                    indices=tuple(
+                        index for row in device_rows for index in row
+                    ),
+                )
+            )
+    return result
+
+
+def _failure(
+    index: int, worker_id: str, elapsed: float, error: Exception
+) -> UnitOutcome:
+    timed_out = isinstance(error, UnitTimeout)
+    return UnitOutcome(
+        index=index,
+        worker_id=worker_id,
+        elapsed=elapsed,
+        error=str(error) if timed_out else f"{type(error).__name__}: {error}",
+        timed_out=timed_out,
+    )
+
+
+def _run_rectangle(
     state: WorkerState,
-    index: int,
+    rectangle: Rectangle,
     timeout: Optional[float],
     metrics: MetricsRegistry,
     worker_id: str,
-    fault_plan: Optional[FaultPlan] = None,
-) -> UnitOutcome:
-    """Run one work unit, returning a picklable outcome (never raises).
+) -> List[UnitOutcome]:
+    """Run one rectangle as one ``run_grid`` call (never raises).
 
-    ``metrics`` is the shard's private registry unit telemetry lands
-    in, so concurrent shards (thread-pool mode) never mix their deltas.
+    The deadline is ``timeout`` per cell, and the elapsed time is
+    shared evenly between the cells, so unit telemetry and the health
+    monitor see the amortized cost of a unit.  An error or a timeout
+    fails every unit of this rectangle and no other; the book decides
+    the retries.  ``metrics`` is the shard's private registry, so
+    concurrent shards (thread-pool mode) never mix their deltas.
     """
     rec = obs.recorder()
+    cells = len(rectangle.indices)
     started = time.perf_counter()
     before = oracle_cache_stats()
     try:
-        unit = state.units[index]
-        if fault_plan is not None and fault_plan.should_fail(index):
-            raise TransientWorkerError(
-                f"injected transient failure for unit {index}"
-            )
-        with _deadline(timeout):
+        with _deadline(None if timeout is None else timeout * cells):
             with rec.span(
-                "campaign.unit",
-                index=index,
-                test=unit.test_name,
-                device=unit.device_name,
+                "campaign.rectangle",
+                kind=rectangle.kind,
+                env_key=rectangle.env_key,
+                devices=len(rectangle.device_names),
+                tests=len(rectangle.test_names),
             ):
-                run = state.runner.run(
-                    state.devices[unit.device_name],
-                    state.tests[unit.test_name],
-                    state.environments[(unit.kind.name, unit.env_key)],
-                    unit.rng(state.spec.seed),
-                )
-        after = oracle_cache_stats()
-        sleep_factor = _fault_sleep_factor()
-        if sleep_factor > 0:
-            # Inside the timed window on purpose: the injected
-            # slowdown must be visible to every latency metric.
-            time.sleep(sleep_factor * (time.perf_counter() - started))
-        elapsed = time.perf_counter() - started
+                runs = state.backend.run_grid(
+                    [state.devices[name] for name in rectangle.device_names],
+                    [state.tests[name] for name in rectangle.test_names],
+                    [state.environments[(rectangle.kind, rectangle.env_key)]],
+                    seed=state.spec.seed,
+                    iterations_override=state.spec.iterations_override,
+                ).to_runs()
+    except Exception as error:  # transient or real: the book decides
+        elapsed = (time.perf_counter() - started) / cells
+        return [
+            _failure(index, worker_id, elapsed, error)
+            for index in rectangle.indices
+        ]
+    after = oracle_cache_stats()
+    sleep_factor = _fault_sleep_factor()
+    if sleep_factor > 0:
+        # Inside the timed window on purpose: the injected slowdown
+        # must be visible to every latency metric.
+        time.sleep(sleep_factor * (time.perf_counter() - started))
+    elapsed = (time.perf_counter() - started) / cells
+    # The rectangle's oracle lookups are charged to its first unit, so
+    # the campaign totals stay exact.
+    hits = after.hits - before.hits
+    misses = after.misses - before.misses
+    outcomes: List[UnitOutcome] = []
+    for index, run in zip(rectangle.indices, runs):
         record_unit(
             metrics,
             worker_id,
             elapsed=elapsed,
             sim_seconds=run.seconds,
-            oracle_hits=after.hits - before.hits,
-            oracle_misses=after.misses - before.misses,
+            oracle_hits=hits,
+            oracle_misses=misses,
         )
+        hits = misses = 0
         if rec.enabled:
             rec.observe(
                 "repro_backend_unit_seconds",
                 elapsed,
                 {"backend": state.spec.backend},
             )
-        return UnitOutcome(
-            index=index, worker_id=worker_id, elapsed=elapsed, run=run
+        outcomes.append(
+            UnitOutcome(
+                index=index, worker_id=worker_id, elapsed=elapsed, run=run
+            )
         )
-    except UnitTimeout as error:
-        return UnitOutcome(
-            index=index,
-            worker_id=worker_id,
-            elapsed=time.perf_counter() - started,
-            error=str(error),
-            timed_out=True,
-        )
-    except Exception as error:  # transient or real: the book decides
-        return UnitOutcome(
-            index=index,
-            worker_id=worker_id,
-            elapsed=time.perf_counter() - started,
-            error=f"{type(error).__name__}: {error}",
-        )
+    return outcomes
 
 
 def run_shard(
@@ -393,7 +474,10 @@ def run_shard(
 ) -> ShardResult:
     """Run one shard in this process with a private metrics registry.
 
-    Serial campaigns call this directly; unit telemetry outside the
+    The shard runs as exact :func:`rectangles`, one ``run_grid`` call
+    each; a unit the fault plan fails is settled before any grid runs
+    and never reaches one.  Outcomes come back in ``indices`` order.
+    Serial campaigns call this directly; telemetry outside the
     campaign registry (spans, backend and cache metrics) then lands in
     this process's own recorder.
     """
@@ -401,13 +485,30 @@ def run_shard(
     fault_plan = FaultPlan.from_payload(fault_payload)
     worker_id = f"pid-{os.getpid()}"
     local = MetricsRegistry()
-    outcomes = [
-        execute_unit(state, index, timeout, local, worker_id, fault_plan)
-        for index in indices
-    ]
+    outcomes: Dict[int, UnitOutcome] = {}
+    runnable: List[int] = []
+    for index in indices:
+        if fault_plan is not None and fault_plan.should_fail(index):
+            outcomes[index] = _failure(
+                index,
+                worker_id,
+                0.0,
+                TransientWorkerError(
+                    f"injected transient failure for unit {index}"
+                ),
+            )
+        else:
+            runnable.append(index)
+    for rectangle in rectangles(state.units, runnable):
+        for outcome in _run_rectangle(
+            state, rectangle, timeout, local, worker_id
+        ):
+            outcomes[outcome.index] = outcome
     obs.publish_cache_metrics()
     return ShardResult(
-        outcomes=outcomes, worker_id=worker_id, metrics=local.drain()
+        outcomes=[outcomes[index] for index in indices],
+        worker_id=worker_id,
+        metrics=local.drain(),
     )
 
 

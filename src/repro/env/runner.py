@@ -260,8 +260,8 @@ class Runner:
         if not obs.recorder().enabled:
             return run()
         # A single unit is a degenerate 1x1x1 grid: charging it to the
-        # same per-backend family keeps grid timing comparable between
-        # batched (run_matrix) and per-unit (campaign worker) paths.
+        # same per-backend family keeps its timing comparable with the
+        # grid passes (run_matrix, run_grid) campaigns make.
         return timed_grid(
             self.backend.name,
             "runner.run",

@@ -29,7 +29,12 @@ RunKey = Tuple[str, str, int]  # (test, device, env_key)
 
 @dataclass
 class TuningResult:
-    """All runs of one tuning experiment, with fast lookups."""
+    """All runs of one tuning experiment, with fast lookups.
+
+    ``runs`` is fixed once the result is built: the lookup index, the
+    device names and the environments are all computed from it in one
+    pass at construction.
+    """
 
     kind: EnvironmentKind
     runs: List[TestRun]
@@ -38,13 +43,27 @@ class TuningResult:
     #: from archives that predate backend recording).
     backend: Optional[str] = None
     _index: Dict[RunKey, TestRun] = field(default_factory=dict, repr=False)
+    _device_names: List[str] = field(
+        default_factory=list, init=False, repr=False, compare=False
+    )
+    _environments: List[TestingEnvironment] = field(
+        default_factory=list, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
+        devices: Dict[str, None] = {}
+        environments: Dict[int, TestingEnvironment] = {}
         for run in self.runs:
             key = (run.test_name, run.device_name, run.environment.env_key)
             if key in self._index:
                 raise AnalysisError(f"duplicate run for {key}")
             self._index[key] = run
+            devices.setdefault(run.device_name)
+            environments.setdefault(run.environment.env_key, run.environment)
+        self._device_names = list(devices)
+        self._environments = [
+            environments[key] for key in sorted(environments)
+        ]
 
     # -- lookups ---------------------------------------------------------
 
@@ -54,18 +73,13 @@ class TuningResult:
 
     @property
     def device_names(self) -> List[str]:
-        seen: List[str] = []
-        for run in self.runs:
-            if run.device_name not in seen:
-                seen.append(run.device_name)
-        return seen
+        """Devices in first-run order (a copy)."""
+        return list(self._device_names)
 
     @property
     def environments(self) -> List[TestingEnvironment]:
-        seen: Dict[int, TestingEnvironment] = {}
-        for run in self.runs:
-            seen.setdefault(run.environment.env_key, run.environment)
-        return [seen[key] for key in sorted(seen)]
+        """One environment per env key, in key order (a copy)."""
+        return list(self._environments)
 
     def run_for(
         self, test_name: str, device_name: str, env_key: int

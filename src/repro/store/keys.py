@@ -49,7 +49,7 @@ def unit_digests(spec: "CampaignSpec") -> Dict[int, str]:
     from repro.campaign.worker import build_state
 
     state = build_state(spec)
-    backend = state.runner.backend
+    backend = state.backend
     digests: Dict[int, str] = {}
     for unit in state.units:
         environment = state.environments[(unit.kind.name, unit.env_key)]

@@ -129,6 +129,16 @@ class TestSerialization:
         with pytest.raises(AnalysisError, match="malformed"):
             result_from_dict(payload)
 
+    def test_edited_payload_leaves_later_payloads_alone(self, result):
+        # Parameters dicts are built once per environment; each payload
+        # must still own its copy.
+        edited = result_to_dict(result)
+        edited["runs"][0]["environment"]["parameters"]["shuffle_pct"] = 999
+        fresh = result_to_dict(result)
+        assert fresh["runs"][0]["environment"]["parameters"][
+            "shuffle_pct"
+        ] == result.runs[0].environment.parameters.shuffle_pct
+
     def test_invalid_json_file(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

@@ -244,6 +244,21 @@ class TestTuning:
         assert result.device_names == ["AMD"]
         assert len(result.environments) == 5
 
+    def test_accessors_return_copies(self):
+        # device_names and environments are computed once, at
+        # construction; editing what they return changes nothing.
+        result = tuning_run(
+            EnvironmentKind.PTE,
+            [make_device("amd")],
+            SUITE.mutants[:2],
+            environment_count=3,
+            seed=2,
+        )
+        result.device_names.append("M1")
+        result.environments.clear()
+        assert result.device_names == ["AMD"]
+        assert len(result.environments) == 3
+
     def test_lookup_and_aggregations(self):
         mutants = SUITE.mutants[:4]
         result = tuning_run(

@@ -54,14 +54,19 @@ class TestCampaignTelemetry:
         units = spec.unit_count()
         assert outcome.metrics.units_done == units
         assert registry.family_total(UNITS_METRIC) == units
-        # Every unit is a degenerate 1x1x1 grid on the backend, so the
-        # per-backend grid-time histogram covers all of them.
+        # The campaign is one shard, and each of its (kind, env)
+        # blocks holds whole devices: one rectangle, so one grid pass
+        # on the backend, per block.
+        assert units <= ExecutorConfig().shard_size
+        blocks = sum(
+            len(spec.environments(kind)) for kind in spec.kind_members
+        )
         grid_count = sum(
             histogram.count
             for name, _, histogram in registry.iter_histograms()
             if name == GRID_SECONDS_METRIC
         )
-        assert grid_count == units
+        assert grid_count == blocks
         assert registry.family_total(GRID_UNITS_METRIC) == units
         # Cache-effectiveness counters are always materialised (the
         # analytic backend makes zero oracle lookups, and the artifact
@@ -129,10 +134,12 @@ class TestCampaignTelemetry:
             run_campaign(
                 spec, config=ExecutorConfig(workers=1, retry_backoff=0.0)
             )
-            names = {span["name"] for span in rec.tracer}
+            paths = {span["path"] for span in rec.tracer}
         finally:
             obs.disable()
-        assert {"campaign.run", "campaign.unit", "runner.run"} <= names
+        assert (
+            "campaign.run/campaign.rectangle/backend.run_matrix" in paths
+        )
 
     def test_metrics_report_has_absolute_utc(self):
         spec = _spec(environment_count=2)

@@ -281,12 +281,13 @@ class TestRetryAccounting:
     def test_service_counts_retries_like_the_scheduler(
         self, tmp_path, monkeypatch
     ):
-        """A unit that fails once is retried, and the retry reaches the
-        job and service registries exactly as `campaign run` counts it."""
+        """A rectangle whose grid call fails once is retried, and its
+        retries reach the job and service registries exactly as
+        `campaign run` counts them."""
+        from repro.backends import Backend
         from repro.campaign.metrics import RETRIES_METRIC
-        from repro.env.runner import Runner
 
-        original = Runner.run
+        original = Backend.run_grid
         calls = []
         lock = threading.Lock()
 
@@ -298,7 +299,7 @@ class TestRetryAccounting:
                 raise RuntimeError("injected transient failure")
             return original(self, *args, **kwargs)
 
-        monkeypatch.setattr(Runner, "run", fail_first_call)
+        monkeypatch.setattr(Backend, "run_grid", fail_first_call)
         scheduler = run_campaign(
             spec(), config=ExecutorConfig(workers=1, retry_backoff=0.0)
         )
@@ -315,10 +316,17 @@ class TestRetryAccounting:
             return status, job_registry, service_registry
 
         status, job_registry, service_registry = run_async(scenario())
-        assert scheduler.metrics.retries == 1
+        # Both drivers' first rectangle is one environment's
+        # 1 device x 2 tests: its two units fail and retry together.
+        failed_rectangle = len(spec().device_names) * len(spec().test_names)
+        assert failed_rectangle == 2
+        assert scheduler.metrics.retries == failed_rectangle
         assert status["state"] == "done"
-        assert job_registry.family_total(RETRIES_METRIC) == 1
-        assert service_registry.family_total(RETRIES_METRIC) == 1
+        assert job_registry.family_total(RETRIES_METRIC) == failed_rectangle
+        assert (
+            service_registry.family_total(RETRIES_METRIC)
+            == failed_rectangle
+        )
 
 
 class TestHttpRoundTrip:
