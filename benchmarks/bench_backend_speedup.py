@@ -1,8 +1,8 @@
 """Speedup of the analytic grid pass on the Figure 5 tuning grid.
 
 Times the same grid — all four Sec. 5.1 environment kinds, the study
-device roster, the full mutant suite — through the canonical serial
-per-cell loop (``Backend.run_matrix(AnalyticBackend(), ...)``) and
+device roster, the full mutant suite — through the serial reference
+loop over the scalar cell (``repro.backends.analytic.run_serial``) and
 through the analytic backend's own grid pass
 (``AnalyticBackend().run_matrix``), in both of its regimes:
 
@@ -27,8 +27,9 @@ import os
 import time
 
 from repro import obs
-from repro.backends import AnalyticBackend, Backend
-from repro.backends.base import GRID_SECONDS_METRIC
+from repro.backends import AnalyticBackend
+from repro.backends.analytic import run_serial
+from repro.backends.base import GRID_SECONDS_METRIC, record_grid
 from repro.env import EnvironmentKind, environments_for
 from repro.memo import registered_memos
 
@@ -74,8 +75,12 @@ def test_backend_speedup(suite, devices):
 
     backend = AnalyticBackend()
 
-    def serial(*args, **kwargs):
-        return Backend.run_matrix(backend, *args, **kwargs)
+    def serial(devices, tests, environments, seed):
+        # Published like a grid pass, so every stage has a summary.
+        started = time.perf_counter()
+        runs = run_serial(devices, tests, environments, seed)
+        record_grid(backend.name, time.perf_counter() - started, len(runs))
+        return runs
 
     analytic_runs, analytic_seconds, analytic_summary = _run_all(
         serial, devices, tests, grids

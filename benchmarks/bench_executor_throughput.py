@@ -8,7 +8,8 @@ scale every other benchmark can afford.
 
 import numpy as np
 
-from repro.env import pte_baseline, site_baseline, Runner
+from repro.backends.analytic import run_cell
+from repro.env import pte_baseline
 from repro.gpu import ExecutionTuning, make_device, run_instance
 from repro.litmus import library
 
@@ -25,15 +26,18 @@ def test_operational_executor_throughput(benchmark):
     assert len(outcomes) == 100
 
 
-def test_analytic_runner_throughput(benchmark):
+def test_analytic_cell_throughput(benchmark):
+    # The scalar cell, not Runner.run: the analytic grid pass would
+    # answer every repeat of one unit from its run memo.
     device = make_device("nvidia")
     test = library.mp()
-    runner = Runner()
     environment = pte_baseline()
     rng = np.random.default_rng(0)
 
     def run_once():
-        return runner.run(device, test, environment, rng)
+        return run_cell(
+            device, test, environment, environment.iterations(), rng
+        )
 
     run = benchmark(run_once)
     # One analytic run covers 100 iterations x 262144 instances.

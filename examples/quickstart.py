@@ -70,9 +70,7 @@ def main() -> None:
     # 4. Kill the mutant and quantify confidence.
     mutant = pair.mutants[0]
     runner = Runner()
-    run = runner.run(
-        make_device("intel"), mutant, site_baseline(), rng
-    )
+    run = runner.run(make_device("intel"), mutant, site_baseline(), seed=0)
     print(f"\nMutant run: {run.describe()}")
     print(
         f"Reproducibility of this run: "

@@ -11,8 +11,8 @@ establish it:
 
 1. **Workload floor** — a real tuning grid (every environment kind,
    the study devices, the full mutant suite) through the analytic
-   backend's per-unit serial loop (``Backend.run_matrix``, one
-   ``run`` per unit) with obs disabled, best of ``--trials`` runs.
+   model's serial reference loop (``run_serial``, one scalar
+   ``run_cell`` per unit) with obs disabled, best of ``--trials`` runs.
    The loop does real work on every unit; the analytic grid pass
    would answer warm repeats from its run memo without any per-unit
    dispatch, so it is the wrong denominator for a per-unit bound.
@@ -39,7 +39,7 @@ import tempfile
 import time
 
 from repro import obs
-from repro.backends import AnalyticBackend, Backend
+from repro.backends.analytic import run_serial
 from repro.env import EnvironmentKind, environments_for
 from repro.gpu import study_devices
 from repro.mutation import default_suite
@@ -50,7 +50,6 @@ SEED = 42
 
 def time_workload(envs, trials):
     """Best-of-``trials`` wall time of one full grid, obs disabled."""
-    backend = AnalyticBackend()
     devices = study_devices()
     tests = default_suite().mutants
     grids = {
@@ -65,9 +64,7 @@ def time_workload(envs, trials):
     for _ in range(trials):
         started = time.perf_counter()
         for environments in grids.values():
-            Backend.run_matrix(
-                backend, devices, tests, environments, seed=SEED
-            )
+            run_serial(devices, tests, environments, seed=SEED)
         best = min(best, time.perf_counter() - started)
     return best, units
 

@@ -8,12 +8,10 @@ relaxed-memory device (see DESIGN.md for the substitution rationale).
 Quick tour (see ``examples/quickstart.py``):
 
 >>> from repro import build_suite, make_device, site_baseline, Runner
->>> import numpy as np
 >>> suite = build_suite()                     # 20 conformance + 32 mutants
 >>> device = make_device("intel", buggy=True) # carries the CoRR bug
 >>> run = Runner().run(
-...     device, suite.find("rev_poloc_rr_w"), site_baseline(),
-...     np.random.default_rng(0),
+...     device, suite.find("rev_poloc_rr_w"), site_baseline(), seed=0
 ... )
 
 Subpackages:

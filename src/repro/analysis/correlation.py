@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.analysis.stats import CorrelationResult, correlate
 from repro.env.environment import EnvironmentKind, random_environments
-from repro.env.runner import Runner, stable_name_hash
+from repro.env.runner import stable_name_hash
 from repro.errors import AnalysisError
 from repro.gpu.device import Device, make_device
 from repro.mutation.suite import MutationSuite, default_suite
@@ -61,18 +61,25 @@ class CorrelationRow:
 
 
 def _kill_vector(
-    runner: Runner,
     device: Device,
     test,
     environments,
+    iterations: int,
     seed: int,
 ) -> List[int]:
+    """Kills per environment, each from its own (seed, environment,
+    test) stream through the analytic model's scalar cell."""
+    # Lazy import: obs (which the backends import) loads this package.
+    from repro.backends.analytic import run_cell
+
     kills = []
     for environment in environments:
         rng = np.random.default_rng(
             (seed, environment.env_key, stable_name_hash(test.name))
         )
-        kills.append(runner.run(device, test, environment, rng).kills)
+        kills.append(
+            run_cell(device, test, environment, iterations, rng).kills
+        )
     return kills
 
 
@@ -99,9 +106,8 @@ def correlation_row(
     environments = random_environments(
         EnvironmentKind.PTE, environment_count, seed=seed
     )
-    runner = Runner(iterations_override=iterations)
     bug_kills = _kill_vector(
-        runner, device, pair.conformance, environments, seed
+        device, pair.conformance, environments, iterations, seed
     )
     if not any(bug_kills):
         raise AnalysisError(
@@ -110,7 +116,7 @@ def correlation_row(
     per_mutant: Dict[str, CorrelationResult] = {}
     for mutant in pair.mutants:
         mutant_kills = _kill_vector(
-            runner, device, mutant, environments, seed
+            device, mutant, environments, iterations, seed
         )
         if not any(mutant_kills):
             continue

@@ -1,19 +1,23 @@
 """Pluggable execution backends behind the runner.
 
-One :class:`Backend` protocol, three strategies, one registry.  Every
-backend declares an ``equivalence`` contract
-(:data:`EQUIVALENCE_CONTRACTS`) naming how its numbers relate to the
-analytic reference; the registry validates the contract, the
-validation harness checks it, and campaign journals enforce it across
-resume:
+One :class:`Backend` protocol, three strategies, one registry.  A
+backend implements one method, ``run_grid`` → :class:`GridResult`
+(kill/instance/seconds tensors indexed ``[environment, device,
+test]``); records are ``run_matrix`` = ``run_grid(...).to_runs()``,
+and a single unit is a 1×1×1 grid.  Every backend declares an
+``equivalence`` contract (:data:`EQUIVALENCE_CONTRACTS`) naming how
+its numbers relate to the analytic reference; the registry validates
+the contract, the validation harness checks it, and campaign journals
+enforce it across resume:
 
 * ``analytic`` (:class:`AnalyticBackend`, ``bitwise``) — the default:
   closed-form per-instance probabilities, binomially sampled kills.
   Scales to PTE instance counts; the numerical ground truth
-  everything else is validated against.  Its ``run_matrix`` evaluates
-  a grid in one memoized pass, bit-identical to the per-cell ``run``
-  loop.  The retired name ``vectorized`` resolves here, so journals
-  that pin it still resume.
+  everything else is validated against.  Its ``run_grid`` evaluates
+  a grid in one memoized pass, bit-identical to the scalar reference
+  loop (:func:`repro.backends.analytic.run_serial`).  The retired
+  name ``vectorized`` resolves here, so journals that pin it still
+  resume.
 * ``operational`` (:class:`OperationalBackend`, ``directional``) —
   every instance actually simulated by the operational executor.
   SITE-scale only; accepts ``max_operational_instances``.
@@ -22,13 +26,8 @@ resume:
   program with batched binomial sampling.  Probabilities and seconds
   are bitwise equal to ``analytic``; kill counts come from the same
   distributions via independent seeded streams.  Orders of magnitude
-  faster than the analytic grid pass through the :class:`GridResult`
-  path (see ``benchmarks/bench_tensor_speedup.py``).
-
-Grids can be executed as :class:`~repro.env.runner.TestRun` lists
-(``run_matrix``) or as structure-of-arrays tensors
-(``run_grid`` → :class:`GridResult`) — the grid-result path is what
-lets array-level backends skip per-unit record construction.
+  faster than the analytic grid pass (see
+  ``benchmarks/bench_tensor_speedup.py``).
 
 Callers select a backend by name through :func:`resolve` /
 :func:`make_backend` — the single validation point that
@@ -64,6 +63,7 @@ from repro.backends.validate import (
     validate_bit_identity,
     validate_directional_agreement,
     validate_statistical_equivalence,
+    validate_subgrid_determinism,
 )
 
 __all__ = [
@@ -86,4 +86,5 @@ __all__ = [
     "validate_directional_agreement",
     "validate_options",
     "validate_statistical_equivalence",
+    "validate_subgrid_determinism",
 ]

@@ -5,15 +5,18 @@ workload translation, one per-instance probability
 (:func:`repro.gpu.batch.unit_probability`), and one binomial draw per
 iteration from the unit's :func:`~repro.env.runner.unit_rng` stream.
 
-``run`` — the per-cell path Table 4 uses — is the plain scalar path,
-with no memo lookups.  ``run_matrix`` — the path campaign workers
-take, one call per shard rectangle — is one pass per grid: workload,
-tuning and seconds are computed once per (environment, device), tests
-are characterized once, and probabilities, jitter factors and whole
-completed units are memoized under the canonical
-:func:`~repro.env.runner.result_key`, so re-evaluating a grid costs
-dictionary lookups.  Sampling is never batched, so both paths give
-bit-identical records; ``python -m repro.backends`` asserts it.
+:func:`run_cell` is that unit as a plain scalar function, with no memo
+lookups, and :func:`run_serial` is the canonical loop over it — the
+reference the grid pass is held against (``python -m repro.backends``,
+``benchmarks/bench_backend_speedup.py``).  Table 4 draws from
+:func:`run_cell` directly.  :meth:`AnalyticBackend.run_grid` — the
+path campaign workers take, one call per shard rectangle — is one pass
+per grid: workload, tuning and seconds are computed once per
+(environment, device), tests are characterized once, and
+probabilities, jitter factors and whole completed units are memoized
+under the canonical :func:`~repro.env.runner.result_key`, so
+re-evaluating a grid costs dictionary lookups.  Sampling is never
+batched, so both paths give bit-identical records.
 """
 
 from __future__ import annotations
@@ -22,7 +25,12 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.backends.base import Backend, timed_grid
+from repro.backends.base import (
+    Backend,
+    GridResult,
+    serial_runs,
+    timed_grid,
+)
 from repro.backends.registry import register
 from repro.env.environment import TestingEnvironment
 from repro.env.runner import (
@@ -47,9 +55,46 @@ _JITTER_MEMO = Memo("jitter", maxsize=262_144)
 _RUN_MEMO = Memo("run", maxsize=262_144)
 
 
+def run_cell(
+    device: Device,
+    test: LitmusTest,
+    environment: TestingEnvironment,
+    iterations: int,
+    rng: np.random.Generator,
+) -> TestRun:
+    """One unit of the closed-form model, drawing from ``rng``."""
+    workload = environment.workload(device.profile, test)
+    kills = device.sample_iteration_kills(
+        test, workload, iterations, rng, env_key=environment.env_key
+    )
+    seconds = iterations * environment.iteration_seconds(device, test)
+    return TestRun(
+        test_name=test.name,
+        device_name=device.name,
+        environment=environment,
+        iterations=iterations,
+        instances_per_iteration=workload.instances_in_flight,
+        kills=int(kills.sum()),
+        seconds=seconds,
+    )
+
+
+def run_serial(
+    devices: Sequence[Device],
+    tests: Sequence[LitmusTest],
+    environments: Sequence[TestingEnvironment],
+    seed: int = 0,
+    iterations_override: Optional[int] = None,
+) -> List[TestRun]:
+    """The serial reference: :func:`run_cell` once per unit."""
+    return serial_runs(
+        run_cell, devices, tests, environments, seed, iterations_override
+    )
+
+
 @register
 class AnalyticBackend(Backend):
-    """Evaluation of the closed-form batch model, per cell or per grid."""
+    """Evaluation of the closed-form batch model, one pass per grid."""
 
     name = "analytic"
     option_names = frozenset()
@@ -57,44 +102,26 @@ class AnalyticBackend(Backend):
     #: The reference itself: trivially bit-identical to itself.
     equivalence = "bitwise"
 
-    def run(
-        self,
-        device: Device,
-        test: LitmusTest,
-        environment: TestingEnvironment,
-        iterations: int,
-        rng: np.random.Generator,
-    ) -> TestRun:
-        workload = environment.workload(device.profile, test)
-        kills = device.sample_iteration_kills(
-            test, workload, iterations, rng, env_key=environment.env_key
-        )
-        seconds = iterations * environment.iteration_seconds(device, test)
-        return TestRun(
-            test_name=test.name,
-            device_name=device.name,
-            environment=environment,
-            iterations=iterations,
-            instances_per_iteration=workload.instances_in_flight,
-            kills=int(kills.sum()),
-            seconds=seconds,
-        )
-
-    def run_matrix(
+    def run_grid(
         self,
         devices: Sequence[Device],
         tests: Sequence[LitmusTest],
         environments: Sequence[TestingEnvironment],
         seed: int = 0,
         iterations_override: Optional[int] = None,
-    ) -> List[TestRun]:
-        """The grid pass: the serial loop's records in its unit order,
-        with redundant computation lifted out of the inner loop."""
+    ) -> GridResult:
+        """The grid pass: :func:`run_serial`'s records, with redundant
+        computation lifted out of the inner loop."""
         return timed_grid(
             self.name,
-            "backend.run_matrix",
-            lambda: _run_grid(
-                devices, tests, environments, seed, iterations_override
+            lambda: GridResult.from_runs(
+                environments,
+                [device.name for device in devices],
+                [test.name for test in tests],
+                _run_grid(
+                    devices, tests, environments, seed,
+                    iterations_override,
+                ),
             ),
             environments=len(environments),
         )

@@ -1,27 +1,24 @@
 """The execution-backend protocol.
 
-A :class:`Backend` is one strategy for turning a (device, test,
-environment, iterations, rng) work unit into a
-:class:`~repro.env.runner.TestRun`.  Three strategies ship with the
-package (see :mod:`repro.backends`): the closed-form analytic model
-(per cell, or one memoized pass per grid), the whole-grid tensor
-program, and the instance-level operational simulator.
+A :class:`Backend` is one strategy for turning an (environment ×
+device × test) grid into a :class:`GridResult`.  Three strategies ship
+with the package (see :mod:`repro.backends`): the closed-form analytic
+model (one memoized pass per grid), the whole-grid tensor program, and
+the instance-level operational simulator.
 
-The protocol is deliberately small: ``run`` executes one unit,
-``run_matrix`` executes a grid as :class:`~repro.env.runner.TestRun`
-records, and ``run_grid`` executes a grid as a :class:`GridResult`
-tensor — the documented grid-result path that lets array-level
-backends skip per-unit record construction entirely.  ``run_grid`` is
-the one seam campaigns execute through: a campaign worker makes one
-call per shard rectangle, whatever the backend.  The default
-``run_matrix`` is the canonical serial loop (environments outermost,
-then devices, then tests, one :func:`~repro.env.runner.unit_rng`
-stream per unit); a backend overrides it only when it can batch the
-grid without changing any unit's result — the determinism contract
-says unit results depend solely on (seed, unit key), never on how the
-grid was traversed.  ``Backend.run_matrix(backend, ...)`` always names
-the serial loop, so benchmarks and the validation harness can hold an
-overriding backend against it.
+The protocol is one method: ``run_grid(devices, tests, environments,
+seed, iterations_override) -> GridResult``.  A single unit is a 1×1×1
+grid, a campaign shard is a handful of rectangles (one ``run_grid``
+call each), and :class:`~repro.env.runner.TestRun` records are
+``run_grid(...).to_runs()`` — the concrete :meth:`Backend.run_matrix`,
+which no backend overrides.  The determinism contract says a unit's
+result depends solely on (seed, unit key), never on the grid it was
+computed in or how that grid was traversed, so any rectangle cut from
+a grid reproduces the grid's cells;
+:func:`repro.backends.validate.validate_subgrid_determinism` checks it
+for every registered backend.  :func:`serial_runs` is the canonical
+per-cell loop (one :func:`~repro.env.runner.unit_rng` stream per
+unit) for backends whose cells are scalar computations.
 
 How closely a backend's numbers track the analytic ground truth is an
 explicit, machine-checked property of the class: every backend
@@ -36,7 +33,7 @@ from __future__ import annotations
 import abc
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Sequence, Tuple, TypeVar
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -61,8 +58,6 @@ from repro.litmus.program import LitmusTest
 #:   only ranking/zero-stays-zero agreement is promised.  Holds for
 #:   ``operational``.
 EQUIVALENCE_CONTRACTS = ("bitwise", "statistical", "directional")
-
-T = TypeVar("T")
 
 #: Shared metric families every backend's grid pass reports under,
 #: labelled ``backend=<name>`` so artifacts compare strategies.
@@ -99,17 +94,47 @@ def record_grid(backend: str, elapsed: float, units: int) -> None:
 
 def timed_grid(
     backend: str,
-    span: str,
-    compute: Callable[[], T],
-    units: Callable[[T], int] = len,
+    compute: Callable[[], "GridResult"],
     **attributes: Any,
-) -> T:
-    """Run one grid pass inside a ``span`` and publish its timing."""
+) -> "GridResult":
+    """Run one grid pass inside a ``backend.run_grid`` span and
+    publish its timing."""
     started = time.perf_counter()
-    with obs.recorder().span(span, backend=backend, **attributes):
+    with obs.recorder().span(
+        "backend.run_grid", backend=backend, **attributes
+    ):
         result = compute()
-    record_grid(backend, time.perf_counter() - started, units(result))
+    record_grid(backend, time.perf_counter() - started, result.unit_count)
     return result
+
+
+def serial_runs(
+    cell: Callable[..., TestRun],
+    devices: Sequence[Device],
+    tests: Sequence[LitmusTest],
+    environments: Sequence[TestingEnvironment],
+    seed: int = 0,
+    iterations_override: Optional[int] = None,
+) -> List[TestRun]:
+    """The canonical serial loop over a scalar ``cell(device, test,
+    environment, iterations, rng)``.
+
+    Environments outermost, then devices, then tests; each unit gets
+    its own :func:`~repro.env.runner.unit_rng` stream, so any subset of
+    the grid reproduces the full grid's values.
+    """
+    runs: List[TestRun] = []
+    for environment in environments:
+        iterations = environment.iterations(iterations_override)
+        for device in devices:
+            for test in tests:
+                stream = unit_rng(
+                    seed, environment.env_key, device.name, test.name
+                )
+                runs.append(
+                    cell(device, test, environment, iterations, stream)
+                )
+    return runs
 
 
 @dataclass(frozen=True)
@@ -258,15 +283,21 @@ class Backend(abc.ABC):
     equivalence: str = "bitwise"
 
     @abc.abstractmethod
-    def run(
+    def run_grid(
         self,
-        device: Device,
-        test: LitmusTest,
-        environment: TestingEnvironment,
-        iterations: int,
-        rng: np.random.Generator,
-    ) -> TestRun:
-        """Execute one (device, test, environment) unit."""
+        devices: Sequence[Device],
+        tests: Sequence[LitmusTest],
+        environments: Sequence[TestingEnvironment],
+        seed: int = 0,
+        iterations_override: Optional[int] = None,
+    ) -> GridResult:
+        """Execute every (environment, device, test) combination.
+
+        The one execution seam: tensors indexed ``[environment,
+        device, test]`` in canonical order.  Each unit's values depend
+        only on (seed, unit key), so any rectangle of the grid
+        reproduces the full grid's cells.
+        """
 
     def run_matrix(
         self,
@@ -276,68 +307,14 @@ class Backend(abc.ABC):
         seed: int = 0,
         iterations_override: Optional[int] = None,
     ) -> List[TestRun]:
-        """Execute every (environment, device, test) combination.
-
-        The canonical serial loop: each unit gets its independent
-        deterministic stream, so any subset of the matrix reproduces
-        the full run's values.
-        """
-
-        def serial() -> List[TestRun]:
-            runs: List[TestRun] = []
-            for environment in environments:
-                iterations = environment.iterations(iterations_override)
-                for device in devices:
-                    for test in tests:
-                        stream = unit_rng(
-                            seed, environment.env_key, device.name,
-                            test.name,
-                        )
-                        runs.append(
-                            self.run(
-                                device, test, environment, iterations,
-                                stream,
-                            )
-                        )
-            return runs
-
-        return timed_grid(
-            self.name, "backend.run_matrix", serial,
-            environments=len(environments),
-        )
-
-    def run_grid(
-        self,
-        devices: Sequence[Device],
-        tests: Sequence[LitmusTest],
-        environments: Sequence[TestingEnvironment],
-        seed: int = 0,
-        iterations_override: Optional[int] = None,
-    ) -> GridResult:
-        """Execute the grid, returning tensors instead of records.
-
-        The grid-result path, and the seam campaign workers call once
-        per shard rectangle.  Array-level backends override this and
-        implement ``run_matrix`` as ``run_grid(...).to_runs()``, so
-        they never round-trip through per-unit ``run``.  The default
-        packs the canonical ``run_matrix`` output — the analytic grid
-        pass, or the per-cell serial loop for backends without a grid
-        of their own — so every backend offers both representations
-        with identical values.
-        """
-        runs = self.run_matrix(
+        """The grid as :class:`TestRun` records in canonical order."""
+        return self.run_grid(
             devices,
             tests,
             environments,
             seed=seed,
             iterations_override=iterations_override,
-        )
-        return GridResult.from_runs(
-            environments,
-            [device.name for device in devices],
-            [test.name for test in tests],
-            runs,
-        )
+        ).to_runs()
 
     def describe(self) -> str:
         return f"{self.name} backend"

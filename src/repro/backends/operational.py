@@ -5,13 +5,24 @@ backend protocol: each instance is compiled, relaxed, interleaved, and
 checked against the oracle.  Bounded by ``max_operational_instances``
 per iteration — the one option this backend accepts, and the one the
 analytic backends reject (it used to be silently ignored there).
+Instances are simulated one at a time, so ``run_grid`` is the
+canonical per-cell loop (:func:`~repro.backends.base.serial_runs`):
+one :func:`~repro.env.runner.unit_rng` stream per cell.
 """
 
 from __future__ import annotations
 
+from typing import Optional, Sequence
+
 import numpy as np
 
-from repro.backends.base import Backend, check_positive_instances
+from repro.backends.base import (
+    Backend,
+    GridResult,
+    check_positive_instances,
+    serial_runs,
+    timed_grid,
+)
 from repro.backends.registry import register
 from repro.env.environment import TestingEnvironment
 from repro.env.runner import TestRun
@@ -36,7 +47,29 @@ class OperationalBackend(Backend):
             max_operational_instances
         )
 
-    def run(
+    def run_grid(
+        self,
+        devices: Sequence[Device],
+        tests: Sequence[LitmusTest],
+        environments: Sequence[TestingEnvironment],
+        seed: int = 0,
+        iterations_override: Optional[int] = None,
+    ) -> GridResult:
+        return timed_grid(
+            self.name,
+            lambda: GridResult.from_runs(
+                environments,
+                [device.name for device in devices],
+                [test.name for test in tests],
+                serial_runs(
+                    self._run_cell, devices, tests, environments, seed,
+                    iterations_override,
+                ),
+            ),
+            environments=len(environments),
+        )
+
+    def _run_cell(
         self,
         device: Device,
         test: LitmusTest,

@@ -31,6 +31,9 @@ kill count in a handful of batched NumPy operations:
   fixed seed reproduces exactly; only the analytic stream's literal
   bits are not replayed.  That is the ``"statistical"`` equivalence
   contract (:data:`repro.backends.base.EQUIVALENCE_CONTRACTS`).
+  Because a unit's words come from its identity alone, a single unit
+  — ``Runner.run``, a 1×1×1 ``run_grid`` — draws exactly its cell of
+  any larger grid with the same seed.
 
 Small-mean units (the vast majority: ~half the grid has probability
 zero) sample by exact CDF inversion of the binomial pmf recurrence;
@@ -42,20 +45,21 @@ caches — memoization at the grid level, not the instance level.
 
 ``benchmarks/bench_tensor_speedup.py`` asserts the speedup target
 (≥10x over the warm analytic grid pass on the full Figure 5 grid);
-``python -m repro.backends`` asserts the statistical contract.
+``python -m repro.backends`` asserts the statistical contract and
+sub-grid determinism.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.backends.base import Backend, GridResult, timed_grid
 from repro.backends.registry import register
 from repro.env.environment import TestingEnvironment
-from repro.env.runner import TestRun, stable_name_hash
+from repro.env.runner import stable_name_hash
 from repro.gpu.batch import (
     JITTER_SIGMA,
     instance_dilution,
@@ -541,8 +545,6 @@ class TensorAnalyticBackend(Backend):
     version = 1
     equivalence = "statistical"
 
-    # -- grid paths -------------------------------------------------------
-
     @staticmethod
     def _program(
         devices: Sequence[Device],
@@ -639,116 +641,8 @@ class TensorAnalyticBackend(Backend):
         """The native path: tensors in, tensors out, no records."""
         return timed_grid(
             self.name,
-            "backend.run_grid",
             lambda: self._grid_result(
                 devices, tests, environments, seed, iterations_override
             ),
-            units=lambda result: result.unit_count,
             environments=len(environments),
-        )
-
-    def run_matrix(
-        self,
-        devices: Sequence[Device],
-        tests: Sequence[LitmusTest],
-        environments: Sequence[TestingEnvironment],
-        seed: int = 0,
-        iterations_override: Optional[int] = None,
-    ) -> List[TestRun]:
-        """Record materialization on top of the grid-result path."""
-        return timed_grid(
-            self.name,
-            "backend.run_matrix",
-            lambda: self._grid_result(
-                devices, tests, environments, seed, iterations_override
-            ).to_runs(),
-            environments=len(environments),
-        )
-
-    # -- the per-unit path -------------------------------------------------
-
-    @staticmethod
-    def _recover_seed(
-        rng: np.random.Generator,
-        env_key: int,
-        device_name: str,
-        test_name: str,
-    ) -> Optional[int]:
-        """Extract the campaign seed from a canonical unit stream.
-
-        Campaign workers hand ``run`` the generator built by
-        :func:`repro.env.runner.unit_rng`; its seed sequence still
-        carries the (seed, env_key, device hash, test hash) entropy
-        tuple, which lets the per-unit path reproduce exactly the
-        value the grid path computes for this cell.
-        """
-        sequence = getattr(
-            getattr(rng, "bit_generator", None), "seed_seq", None
-        )
-        if not isinstance(sequence, np.random.SeedSequence):
-            return None
-        if tuple(sequence.spawn_key):
-            return None
-        entropy = sequence.entropy
-        if not isinstance(entropy, (tuple, list)) or len(entropy) != 4:
-            return None
-        seed, key, device_hash, test_hash = entropy
-        if (
-            key == env_key
-            and device_hash == stable_name_hash(device_name)
-            and test_hash == stable_name_hash(test_name)
-        ):
-            return int(seed)
-        return None
-
-    def run(
-        self,
-        device: Device,
-        test: LitmusTest,
-        environment: TestingEnvironment,
-        iterations: int,
-        rng: np.random.Generator,
-    ) -> TestRun:
-        workload = environment.workload(device.profile, test)
-        probability = device.instance_probability(
-            test, workload, env_key=environment.env_key
-        )
-        instances = workload.instances_in_flight
-        seed = self._recover_seed(
-            rng, environment.env_key, device.name, test.name
-        )
-        if seed is not None:
-            words = _unit_words(
-                seed,
-                np.array([environment.env_key], dtype=np.uint64),
-                np.array(
-                    [stable_name_hash(device.name)], dtype=np.uint64
-                ),
-                np.array([stable_name_hash(test.name)], dtype=np.uint64),
-            )
-            uniform_a = _uniforms(words, _SALT_A).reshape(-1)
-            uniform_b = _uniforms(words, _SALT_B).reshape(-1)
-        else:
-            # Non-canonical stream: stay deterministic with respect to
-            # the generator the caller supplied.
-            draws = rng.random(2)
-            uniform_a = np.array([draws[0]])
-            uniform_b = np.array([draws[1]])
-        kills = int(
-            _binomial_kills(
-                np.array([instances * iterations], dtype=np.int64),
-                np.array([probability]),
-                uniform_a,
-                uniform_b,
-            )[0]
-        )
-        seconds = iterations * environment.iteration_seconds(device, test)
-        return TestRun(
-            test_name=test.name,
-            device_name=device.name,
-            environment=environment,
-            iterations=iterations,
-            instances_per_iteration=instances,
-            kills=kills,
-            seconds=seconds,
         )

@@ -5,8 +5,9 @@ Each backend declares an ``equivalence`` contract
 holds the executable check for each contract:
 
 1. **Bit identity** (``"bitwise"``, the analytic grid pass) — exactly
-   the canonical serial loop's :class:`TestRun` records (same kills,
-   same seconds) for the same seed.  Anything else means caching or
+   the serial reference loop's :class:`TestRun` records
+   (:func:`repro.backends.analytic.run_serial`: same kills, same
+   seconds) for the same seed.  Anything else means caching or
    batching changed the numbers.
 2. **Statistical equivalence** (``"statistical"``, the tensor
    backend) — probabilities, seconds, and grid metadata bitwise equal
@@ -14,14 +15,21 @@ holds the executable check for each contract:
    independent seeded draws, checked by standardized aggregate
    residuals within a fixed sigma bound, plus exact seeded
    reproducibility (a rerun from cold caches is bit-identical to
-   itself, and the per-unit ``run`` path reproduces grid cells).
+   itself).
 3. **Directional agreement** (``"directional"``, the operational
    backend) — a different abstraction of the same device will never
    match count-for-count; what must hold is that both point the same
    way: analytically dead units stay dead operationally, analytically
    easy units out-kill hard ones.
 
-``python -m repro.backends.validate`` runs all three on a small grid
+Every registered backend, whatever its contract, must also pass the
+**sub-grid determinism** check (:func:`validate_subgrid_determinism`):
+a 1×1×1 cell and a one-environment rectangle cut from a larger grid
+equal that grid's cells.  Campaign workers run each shard as such
+rectangles, so this is what makes a campaign's stats independent of
+its sharding.
+
+``python -m repro.backends.validate`` runs all four on a small grid
 and exits non-zero on the first violation, which is what the CI
 matrix job invokes; the functions are also importable for tests and
 for validating custom grids.
@@ -35,19 +43,25 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.backends.analytic import AnalyticBackend
-from repro.backends.base import Backend
+from repro.backends.analytic import AnalyticBackend, run_serial
+from repro.backends.base import Backend, GridResult
 from repro.backends.operational import OperationalBackend
+from repro.backends.registry import (
+    make_backend,
+    registered_backends,
+    resolve,
+)
 from repro.backends.tensor import (
     TensorAnalyticBackend,
     reset_tensor_caches,
 )
 from repro.env.environment import TestingEnvironment
-from repro.env.runner import TestRun, unit_rng
+from repro.env.runner import TestRun
 from repro.errors import EnvironmentError_
 from repro.gpu.device import Device
 from repro.litmus.oracle import oracle_for
 from repro.litmus.program import LitmusTest
+from repro.memo import registered_memos
 
 
 @dataclass
@@ -85,10 +99,10 @@ def validate_bit_identity(
     seed: int = 0,
     iterations_override: Optional[int] = None,
 ) -> ValidationReport:
-    """Assert the analytic grid pass equals the serial per-cell loop
+    """Assert the analytic grid pass equals the serial reference loop
     bit-for-bit."""
-    reference = Backend.run_matrix(
-        AnalyticBackend(), devices, tests, environments, seed=seed,
+    reference = run_serial(
+        devices, tests, environments, seed=seed,
         iterations_override=iterations_override,
     )
     candidate = AnalyticBackend().run_matrix(
@@ -135,8 +149,7 @@ def validate_statistical_equivalence(
     exact binomial mean/variance must stay within ``sigma_bound``, and
     so must the killed-unit count against its exact expectation.
     Determinism is checked directly: recomputing from cold caches is
-    bit-identical, and the per-unit ``run`` path reproduces grid
-    cells.  All checks are seeded, so they cannot flake.
+    bit-identical.  All checks are seeded, so they cannot flake.
     """
     tensor = TensorAnalyticBackend()
     reference = AnalyticBackend().run_matrix(
@@ -255,27 +268,6 @@ def validate_statistical_equivalence(
         report.mismatches.append(
             "seeded rerun from cold caches is not bit-identical"
         )
-    # 4. The per-unit path reproduces grid cells for canonical streams.
-    shape = grid.shape
-    for e, d, t in {
-        (0, 0, 0),
-        (shape[0] - 1, shape[1] - 1, shape[2] - 1),
-        (shape[0] // 2, shape[1] // 2, shape[2] // 2),
-    }:
-        environment = grid.environments[e]
-        device = devices[d]
-        test = tests[t]
-        iterations = int(grid.iterations[e])
-        single = tensor.run(
-            device, test, environment, iterations,
-            unit_rng(seed, environment.env_key, device.name, test.name),
-        )
-        if single.kills != int(grid.kills[e, d, t]):
-            report.mismatches.append(
-                f"{test.name} on {device.name}: per-unit run "
-                f"kills={single.kills} != grid cell "
-                f"{int(grid.kills[e, d, t])}"
-            )
     if report.ok:
         report.notes.append(
             "tensor probabilities/seconds bitwise equal to analytic; "
@@ -316,15 +308,15 @@ def validate_directional_agreement(
     report = ValidationReport(units=len(tests))
     pairs: List[Tuple[float, int]] = []
     coverage_gaps = 0
-    for test in tests:
+    operational_runs = operational.run_matrix(
+        [device], tests, [environment], seed=seed + 1,
+        iterations_override=iterations,
+    )
+    for test, operational_run in zip(tests, operational_runs):
         probability = device.instance_probability(
             test,
             environment.workload(device.profile, test),
             env_key=environment.env_key,
-        )
-        operational_run = operational.run(
-            device, test, environment, iterations,
-            unit_rng(seed + 1, environment.env_key, device.name, test.name),
         )
         pairs.append((probability, operational_run.kills))
         if probability == 0.0 and operational_run.kills > 0:
@@ -363,12 +355,73 @@ def validate_directional_agreement(
     return report
 
 
+def validate_subgrid_determinism(
+    backend: Backend,
+    devices: Sequence[Device],
+    tests: Sequence[LitmusTest],
+    environments: Sequence[TestingEnvironment],
+    seed: int = 0,
+    iterations_override: Optional[int] = None,
+) -> ValidationReport:
+    """Assert that rectangles cut from a grid equal its cells.
+
+    Campaign workers run each shard as rectangles, so a unit's value
+    must depend only on (seed, unit key), never on the grid it was
+    computed in or on that grid's traversal.  Checked for two cuts —
+    the grid's last cell as a 1×1×1 grid, and the first environment's
+    trailing devices × trailing tests — each computed from empty
+    memos, as a fresh worker would, and compared bitwise.
+    """
+
+    def cold_grid(*grid) -> GridResult:
+        for memo in registered_memos().values():
+            memo.clear()
+        return backend.run_grid(
+            *grid, seed=seed, iterations_override=iterations_override
+        )
+
+    grid = cold_grid(devices, tests, environments)
+    report = ValidationReport(units=grid.unit_count)
+    d0, t0 = len(devices) // 2, len(tests) // 2
+    cuts = (
+        ("1x1x1 cell", (slice(-1, None),) * 3,
+         ([devices[-1]], [tests[-1]], [environments[-1]])),
+        ("one-environment rectangle",
+         (slice(0, 1), slice(d0, None), slice(t0, None)),
+         (devices[d0:], tests[t0:], environments[:1])),
+    )
+    for label, index, cut in cuts:
+        sub = cold_grid(*cut)
+        for field_name, at in (
+            ("kills", index), ("seconds", index), ("instances", index),
+            ("iterations", index[0]),
+        ):
+            actual = getattr(sub, field_name)
+            expected = getattr(grid, field_name)[at]
+            if not np.array_equal(actual, expected):
+                differing = (
+                    int(np.sum(actual != expected))
+                    if actual.shape == expected.shape
+                    else actual.size
+                )
+                report.mismatches.append(
+                    f"{backend.name} {label}: {differing} of "
+                    f"{actual.size} {field_name} value(s) differ from "
+                    f"the grid's cells"
+                )
+    if report.ok:
+        report.notes.append(
+            f"{backend.name}: sub-grids reproduce the grid's cells"
+        )
+    return report
+
+
 def validate_backends(
     environment_count: int = 2,
     seed: int = 7,
     log=print,
 ) -> bool:
-    """The CI entry point: both checks on a small mixed grid."""
+    """The CI entry point: every check on a small mixed grid."""
     from repro.env.environment import EnvironmentKind, pte_baseline
     from repro.env.tuning import environments_for
     from repro.gpu.device import make_device, study_devices
@@ -397,6 +450,22 @@ def validate_backends(
     )
     log(f"[operational-vs-analytic] {directional.describe()}")
     ok = ok and directional.ok
+    environments = environments_for(
+        EnvironmentKind.PTE, environment_count, seed
+    )
+    for name in registered_backends():
+        # A CI-sized grid and instance cap keep simulation affordable.
+        options = (
+            {"max_operational_instances": 2}
+            if "max_operational_instances" in resolve(name).option_names
+            else {}
+        )
+        subgrid = validate_subgrid_determinism(
+            make_backend(name, **options), devices, suite.mutants[:4],
+            environments, seed=seed, iterations_override=4,
+        )
+        log(f"[{name}/sub-grids] {subgrid.describe()}")
+        ok = ok and subgrid.ok
     return ok
 
 

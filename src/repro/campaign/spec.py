@@ -18,10 +18,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.env.environment import EnvironmentKind, TestingEnvironment
-from repro.env.runner import unit_seed_sequence
 from repro.env.tuning import environments_for
 from repro.errors import EnvironmentError_, ReproError
 
@@ -95,14 +92,6 @@ class WorkUnit:
     def key(self) -> UnitKey:
         return (self.kind.name, self.env_key, self.device_name,
                 self.test_name)
-
-    def seed_sequence(self, campaign_seed: int) -> np.random.SeedSequence:
-        return unit_seed_sequence(
-            campaign_seed, self.env_key, self.device_name, self.test_name
-        )
-
-    def rng(self, campaign_seed: int) -> np.random.Generator:
-        return np.random.default_rng(self.seed_sequence(campaign_seed))
 
 
 @dataclass(frozen=True)

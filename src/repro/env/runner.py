@@ -10,7 +10,9 @@ Execution strategies live in :mod:`repro.backends` (``analytic``,
 ``operational``, ``tensor``); the :class:`Runner`
 here is a thin composition over one of them, owning only what is
 strategy-independent — iteration-count resolution and the
-deterministic per-unit RNG derivation.  ``backend=`` (a registry name
+deterministic per-unit RNG derivation.  Every run goes through the
+backend's one grid seam; :meth:`Runner.run` is a 1×1×1 grid, keyed by
+the campaign ``seed`` like every other unit.  ``backend=`` (a registry name
 or a :class:`~repro.backends.Backend` instance) together with
 :func:`repro.backends.make_backend` is the single construction path;
 the ``mode=`` alias deprecated since the backend extraction has been
@@ -246,30 +248,15 @@ class Runner:
         device: Device,
         test: LitmusTest,
         environment: TestingEnvironment,
-        rng: np.random.Generator,
+        seed: int = 0,
     ) -> TestRun:
-        iterations = environment.iterations(self.iterations_override)
-        from repro import obs
-        from repro.backends.base import timed_grid
+        """Run one unit: a 1×1×1 :meth:`run_matrix`.
 
-        def run() -> TestRun:
-            return self.backend.run(
-                device, test, environment, iterations, rng
-            )
-
-        if not obs.recorder().enabled:
-            return run()
-        # A single unit is a degenerate 1x1x1 grid: charging it to the
-        # same per-backend family keeps its timing comparable with the
-        # grid passes (run_matrix, run_grid) campaigns make.
-        return timed_grid(
-            self.backend.name,
-            "runner.run",
-            run,
-            units=lambda _: 1,
-            test=test.name,
-            device=device.name,
-        )
+        Its value is the cell of any grid containing it, for the same
+        ``seed``.
+        """
+        (run,) = self.run_matrix([device], [test], [environment], seed=seed)
+        return run
 
     # -- matrices -----------------------------------------------------------
 
@@ -294,3 +281,18 @@ class Runner:
             seed=seed,
             iterations_override=self.iterations_override,
         )
+
+
+def resolve_runner(
+    runner: Optional[Runner], backend: Optional[str]
+) -> Runner:
+    """The runner for entry points taking ``runner=`` or ``backend=``.
+
+    A runner already carries its backend, so passing both is an error.
+    """
+    if runner is not None and backend is not None:
+        raise EnvironmentError_(
+            "pass either runner= or backend=, not both; a runner "
+            "already carries its backend"
+        )
+    return runner if runner is not None else Runner(backend=backend)

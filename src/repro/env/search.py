@@ -30,7 +30,7 @@ from repro.env.environment import (
     random_environment,
 )
 from repro.env.parameters import EnvironmentParameters, STRESS_PATTERNS
-from repro.env.runner import Runner, unit_rng
+from repro.env.runner import Runner, resolve_runner
 from repro.errors import EnvironmentError_
 from repro.gpu.device import Device
 from repro.litmus.program import LitmusTest
@@ -38,15 +38,18 @@ from repro.litmus.program import LitmusTest
 Objective = Callable[[TestingEnvironment], float]
 
 
-def _objective_runner(
-    runner: Optional[Runner], backend: Optional[str]
-) -> Runner:
-    if runner is not None and backend is not None:
-        raise EnvironmentError_(
-            "pass either runner= or backend=, not both; a runner "
-            "already carries its backend"
-        )
-    return runner if runner is not None else Runner(backend=backend)
+def _rates(
+    runner: Runner,
+    devices: Sequence[Device],
+    tests: Sequence[LitmusTest],
+    environment: TestingEnvironment,
+    seed: int,
+) -> List[float]:
+    """Death rates of one environment's (device × test) grid."""
+    return [
+        run.rate
+        for run in runner.run_matrix(devices, tests, [environment], seed)
+    ]
 
 
 def mean_rate_objective(
@@ -63,18 +66,10 @@ def mean_rate_objective(
     execution backend by registry name (mutually exclusive with
     ``runner``).
     """
-    active_runner = _objective_runner(runner, backend)
+    active_runner = resolve_runner(runner, backend)
 
     def evaluate(environment: TestingEnvironment) -> float:
-        rates = []
-        for device in devices:
-            for test in tests:
-                rng = unit_rng(
-                    seed, environment.env_key, device.name, test.name
-                )
-                rates.append(
-                    active_runner.run(device, test, environment, rng).rate
-                )
+        rates = _rates(active_runner, devices, tests, environment, seed)
         return sum(rates) / len(rates)
 
     return evaluate
@@ -94,18 +89,11 @@ def min_rate_objective(
     environment needs.  ``backend`` is as in
     :func:`mean_rate_objective`.
     """
-    active_runner = _objective_runner(runner, backend)
+    active_runner = resolve_runner(runner, backend)
 
     def evaluate(environment: TestingEnvironment) -> float:
-        worst = float("inf")
-        for device in devices:
-            for test in tests:
-                rng = unit_rng(
-                    seed, environment.env_key, device.name, test.name
-                )
-                run = active_runner.run(device, test, environment, rng)
-                worst = min(worst, run.rate)
-        return worst if worst != float("inf") else 0.0
+        rates = _rates(active_runner, devices, tests, environment, seed)
+        return min(rates, default=0.0)
 
     return evaluate
 

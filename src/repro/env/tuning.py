@@ -19,8 +19,8 @@ from repro.env.environment import (
     random_environments,
     site_baseline,
 )
-from repro.env.runner import Runner, TestRun
-from repro.errors import AnalysisError, EnvironmentError_
+from repro.env.runner import Runner, TestRun, resolve_runner
+from repro.errors import AnalysisError
 from repro.gpu.device import Device
 from repro.litmus.program import LitmusTest
 
@@ -210,11 +210,7 @@ def tuning_run(
             ``"analytic"``); carried through campaign delegation so
             sharded workers execute with the same backend.
     """
-    if runner is not None and backend is not None:
-        raise EnvironmentError_(
-            "pass either runner= or backend=, not both; a runner "
-            "already carries its backend"
-        )
+    active_runner = resolve_runner(runner, backend)
     from repro import obs
 
     rec = obs.recorder()
@@ -246,7 +242,6 @@ def tuning_run(
             ).run()
             return outcome.results[kind]
     environments = environments_for(kind, environment_count, seed)
-    active_runner = runner if runner is not None else Runner(backend=backend)
     with rec.span(
         "tuning.run",
         kind=kind.name.lower(),

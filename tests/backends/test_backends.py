@@ -1,15 +1,16 @@
 """Behavioural tests for the analytic and operational backends.
 
 The load-bearing property is bit identity: the analytic grid pass
-(``AnalyticBackend().run_matrix``) must reproduce the canonical serial
-per-cell loop (``Backend.run_matrix``) *exactly* for the same seed,
+(``AnalyticBackend().run_matrix``) must reproduce the serial reference
+loop over the scalar cell (``run_serial``) *exactly* for the same seed,
 buggy devices and all environment kinds included.
 """
 
 import numpy as np
 import pytest
 
-from repro.backends import AnalyticBackend, Backend, OperationalBackend
+from repro.backends import AnalyticBackend, OperationalBackend
+from repro.backends.analytic import run_cell, run_serial
 from repro.env import (
     EnvironmentKind,
     Runner,
@@ -36,8 +37,8 @@ def clear_grid_memos():
 
 
 def serial(*args, **kwargs):
-    """The canonical per-cell loop through ``AnalyticBackend.run``."""
-    return Backend.run_matrix(AnalyticBackend(), *args, **kwargs)
+    """The serial reference loop through the scalar ``run_cell``."""
+    return run_serial(*args, **kwargs)
 
 
 @pytest.fixture(autouse=True)
@@ -71,7 +72,7 @@ class TestBitIdentity:
         device = make_device("nvidia")
         test = SUITE.mutants[0]
         environment = pte_baseline()
-        reference = AnalyticBackend().run(
+        reference = run_cell(
             device, test, environment, 50,
             unit_rng(1, environment.env_key, device.name, test.name),
         )
@@ -80,9 +81,9 @@ class TestBitIdentity:
             iterations_override=50,
         )
         assert candidate == reference
-        # The per-cell path is the plain scalar path: no memo lookups.
+        # The scalar cell makes no memo lookups.
         before = [memo_stats(name) for name in GRID_MEMOS]
-        AnalyticBackend().run(
+        run_cell(
             device, test, environment, 50,
             unit_rng(1, environment.env_key, device.name, test.name),
         )
@@ -169,9 +170,9 @@ class TestOperationalBackend:
         device = make_device("amd")
         test = SUITE.mutants[0]
         environment = pte_baseline()
-        run = backend.run(
-            device, test, environment, 30,
-            unit_rng(3, environment.env_key, device.name, test.name),
+        (run,) = backend.run_matrix(
+            [device], [test], [environment], seed=3,
+            iterations_override=30,
         )
         assert run.instances_per_iteration == 8
         assert run.kills > 0

@@ -43,7 +43,7 @@ class TestResolve:
         class Impostor(Backend):
             name = "analytic"
 
-            def run(self, device, test, environment, iterations, rng):
+            def run_grid(self, devices, tests, environments, **kwargs):
                 raise NotImplementedError
 
         with pytest.raises(EnvironmentError_, match="already registered"):
@@ -51,7 +51,7 @@ class TestResolve:
 
     def test_register_rejects_unnamed(self):
         class Nameless(Backend):
-            def run(self, device, test, environment, iterations, rng):
+            def run_grid(self, devices, tests, environments, **kwargs):
                 raise NotImplementedError
 
         with pytest.raises(EnvironmentError_, match="name"):
@@ -74,7 +74,7 @@ class TestEquivalenceContracts:
             name = "vibes"
             equivalence = "close-enough"
 
-            def run(self, device, test, environment, iterations, rng):
+            def run_grid(self, devices, tests, environments, **kwargs):
                 raise NotImplementedError
 
         with pytest.raises(

@@ -24,10 +24,10 @@ from repro.backends import (
 )
 from repro.env import (
     EnvironmentKind,
+    Runner,
     environments_for,
     pte_baseline,
     site_baseline,
-    unit_rng,
 )
 from repro.gpu import make_device
 from repro.mutation import default_suite
@@ -102,8 +102,8 @@ class TestGridResult:
         assert grid.to_runs() == []
 
     def test_default_backend_grid_path(self):
-        # Backends without a native grid path fall back to
-        # run_matrix + from_runs, so every backend serves GridResult.
+        # The analytic grid pass packs its records into a GridResult;
+        # run_matrix unpacks them again.
         grid = AnalyticBackend().run_grid(
             [make_device("amd")], SUITE.mutants[:2], small_grid(), seed=7
         )
@@ -139,12 +139,8 @@ class TestDeterminism:
         test = SUITE.mutants[0]
         environment = pte_baseline()
         grid = backend.run_grid([device], [test], [environment], seed=5)
-        single = backend.run(
-            device,
-            test,
-            environment,
-            int(grid.iterations[0]),
-            unit_rng(5, environment.env_key, device.name, test.name),
+        single = Runner(backend=backend).run(
+            device, test, environment, seed=5
         )
         assert single.kills == int(grid.kills[0, 0, 0])
 
@@ -279,14 +275,7 @@ class TestStatisticalContractProperties:
         grid = backend.run_grid(
             [device], tests, environments, seed=seed
         )
-        environment = environments[e]
-        single = backend.run(
-            device,
-            tests[t],
-            environment,
-            int(grid.iterations[e]),
-            unit_rng(
-                seed, environment.env_key, device.name, tests[t].name
-            ),
+        single = Runner(backend=backend).run(
+            device, tests[t], environments[e], seed=seed
         )
         assert single.kills == int(grid.kills[e, 0, t])

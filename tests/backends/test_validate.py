@@ -87,6 +87,8 @@ class TestEntryPoint:
         assert any("bit-identical" in message for message in messages)
         assert any("/tensor]" in message for message in messages)
         assert any("operational-vs-analytic" in m for m in messages)
+        for name in ("analytic", "operational", "tensor"):
+            assert any(f"[{name}/sub-grids]" in m for m in messages)
 
     def test_main_returns_zero(self):
         assert main([]) == 0

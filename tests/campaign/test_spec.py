@@ -58,26 +58,18 @@ class TestGrid:
 
 
 class TestSeeding:
-    def test_unit_rng_matches_runner_derivation(self):
-        spec = small_spec()
-        unit = spec.units()[7]
-        ours = unit.rng(spec.seed).integers(0, 2**32, 4)
-        runners = unit_rng(
-            spec.seed, unit.env_key, unit.device_name, unit.test_name
-        ).integers(0, 2**32, 4)
-        assert list(ours) == list(runners)
-
     def test_streams_independent_of_unit_order(self):
         spec = small_spec()
         units = spec.units()
-        draws = {
-            unit.key: unit.rng(spec.seed).integers(0, 2**32)
-            for unit in reversed(units)
-        }
+
+        def draw(unit):
+            return unit_rng(
+                spec.seed, unit.env_key, unit.device_name, unit.test_name
+            ).integers(0, 2**32)
+
+        draws = {unit.key: draw(unit) for unit in reversed(units)}
         for unit in units:
-            assert draws[unit.key] == unit.rng(spec.seed).integers(
-                0, 2**32
-            )
+            assert draws[unit.key] == draw(unit)
 
 
 class TestIdentity:

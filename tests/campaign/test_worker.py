@@ -11,7 +11,9 @@ import time
 
 import pytest
 
-from repro.backends import AnalyticBackend, Backend
+from repro.backends import AnalyticBackend, GridResult
+from repro.backends.analytic import run_cell
+from repro.backends.base import serial_runs
 from repro.campaign import (
     CampaignSpec,
     ExecutorConfig,
@@ -41,10 +43,8 @@ def spec(**overrides):
 
 
 class SpyBackend(AnalyticBackend):
-    """The analytic model through the per-cell serial loop, recording
+    """The analytic model through the serial reference loop, recording
     every cell it computes and every grid it is handed."""
-
-    run_matrix = Backend.run_matrix
 
     def __init__(self, fail_env_key=None, sleep_env_key=None):
         self.cells = []
@@ -52,18 +52,29 @@ class SpyBackend(AnalyticBackend):
         self.fail_env_key = fail_env_key
         self.sleep_env_key = sleep_env_key
 
-    def run(self, device, test, environment, iterations, rng):
+    def cell(self, device, test, environment, iterations, rng):
         self.cells.append((environment.env_key, device.name, test.name))
-        return super().run(device, test, environment, iterations, rng)
+        return run_cell(device, test, environment, iterations, rng)
 
-    def run_grid(self, devices, tests, environments, **kwargs):
+    def run_grid(
+        self, devices, tests, environments, seed=0, iterations_override=None
+    ):
         env_keys = [environment.env_key for environment in environments]
         self.grids.append((env_keys, len(devices), len(tests)))
         if self.fail_env_key in env_keys:
             raise RuntimeError("injected grid failure")
         if self.sleep_env_key in env_keys:
             time.sleep(1.0)
-        return super().run_grid(devices, tests, environments, **kwargs)
+        runs = serial_runs(
+            self.cell, devices, tests, environments, seed,
+            iterations_override,
+        )
+        return GridResult.from_runs(
+            environments,
+            [device.name for device in devices],
+            [test.name for test in tests],
+            runs,
+        )
 
 
 @pytest.fixture
@@ -221,6 +232,6 @@ class TestPerCellValues:
                 make_device(unit.device_name),
                 state.tests[unit.test_name],
                 state.environments[(unit.kind.name, unit.env_key)],
-                unit.rng(campaign.seed),
+                seed=campaign.seed,
             )
             assert outcome.run == expected

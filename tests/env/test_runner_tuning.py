@@ -1,6 +1,5 @@
 """Tests for the runner and the tuning harness."""
 
-import numpy as np
 import pytest
 
 from repro.env import (
@@ -26,10 +25,6 @@ from repro.litmus import library
 from repro.mutation import default_suite
 
 SUITE = default_suite()
-
-
-def rng(seed=0):
-    return np.random.default_rng(seed)
 
 
 class TestTestRun:
@@ -82,7 +77,7 @@ class TestRunnerModes:
         runner = Runner()
         device = make_device("nvidia")
         mutant = SUITE.find("rev_poloc_rr_w_mut")
-        run = runner.run(device, mutant, pte_baseline(), rng())
+        run = runner.run(device, mutant, pte_baseline(), seed=0)
         assert run.kills > 0
         assert run.instances_per_iteration == 1024 * 256
         assert run.seconds > 0
@@ -91,14 +86,14 @@ class TestRunnerModes:
         runner = Runner()
         device = make_device("nvidia")
         conformance = SUITE.find("rev_poloc_rr_w")
-        run = runner.run(device, conformance, pte_baseline(), rng())
+        run = runner.run(device, conformance, pte_baseline(), seed=0)
         assert run.kills == 0
 
     def test_analytic_conformance_buggy_device(self):
         runner = Runner()
         device = make_device("intel", buggy=True)
         conformance = SUITE.find("rev_poloc_rr_w")
-        run = runner.run(device, conformance, pte_baseline(), rng())
+        run = runner.run(device, conformance, pte_baseline(), seed=0)
         assert run.kills > 0
 
     def test_operational_run_counts_kills(self):
@@ -108,21 +103,23 @@ class TestRunnerModes:
             max_operational_instances=8,
         )
         device = make_device("amd")
-        run = runner.run(device, library.sb(), pte_baseline(), rng(3))
+        run = runner.run(device, library.sb(), pte_baseline(), seed=3)
         assert run.instances_per_iteration == 8
         assert run.kills > 0
 
     def test_operational_conformance_zero_on_clean_device(self):
         runner = Runner(backend="operational", iterations_override=20)
         device = make_device("amd")
-        run = runner.run(device, library.mp_relacq(), site_baseline(), rng())
+        run = runner.run(
+            device, library.mp_relacq(), site_baseline(), seed=0
+        )
         assert run.kills == 0
 
     def test_iterations_override(self):
         runner = Runner(iterations_override=7)
         device = make_device("amd")
         run = runner.run(
-            device, SUITE.mutants[0], site_baseline(), rng()
+            device, SUITE.mutants[0], site_baseline(), seed=0
         )
         assert run.iterations == 7
 
@@ -130,8 +127,8 @@ class TestRunnerModes:
         runner = Runner()
         device = make_device("m1")
         mutant = SUITE.find("weak_poloc_rr_ww_mut")
-        first = runner.run(device, mutant, pte_baseline(), rng(5))
-        second = runner.run(device, mutant, pte_baseline(), rng(5))
+        first = runner.run(device, mutant, pte_baseline(), seed=5)
+        second = runner.run(device, mutant, pte_baseline(), seed=5)
         assert first.kills == second.kills
 
     def test_run_matrix_cross_product(self):
@@ -243,6 +240,16 @@ class TestTuning:
         assert len(result.runs) == 4 * 5
         assert result.device_names == ["AMD"]
         assert len(result.environments) == 5
+
+    def test_runner_and_backend_are_exclusive(self):
+        with pytest.raises(EnvironmentError_, match="not both"):
+            tuning_run(
+                EnvironmentKind.PTE,
+                [make_device("amd")],
+                SUITE.mutants[:1],
+                runner=Runner(),
+                backend="tensor",
+            )
 
     def test_accessors_return_copies(self):
         # device_names and environments are computed once, at

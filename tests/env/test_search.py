@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.env import EnvironmentKind, Runner
+from repro.env import EnvironmentKind, Runner, random_environments
 from repro.env.search import (
     EvolutionarySearch,
     RandomSearch,
@@ -136,3 +136,58 @@ class TestEvolutionarySearch:
             record.score for record in result.history[:4]
         )
         assert result.best.score >= seed_best
+
+
+class TestPinnedScores:
+    """Objective scores pinned bitwise, per backend.
+
+    2 devices × 3 mutants × 2 PTE environments, seed 3; the values
+    were recorded when each objective still ran one ``Runner.run``
+    per (device, test) cell, and one grid per environment must
+    reproduce them exactly.
+    """
+
+    PINNED = {
+        "analytic": {
+            "mean": [28319.776810746233, 16935.637758883964],
+            "min": [2790.661135124526, 1981.7152390632675],
+        },
+        "tensor": {
+            "mean": [28335.695331450668, 16879.08001966615],
+            "min": [2749.157671291819, 1986.332315672834],
+        },
+        "operational": {
+            "mean": [527.5727344038881, 534.8731154768398],
+            "min": [150.83000708235807, 114.51619957668396],
+        },
+    }
+
+    @pytest.mark.parametrize("backend", sorted(PINNED))
+    def test_scores_match_recorded_values(self, backend):
+        devices = [make_device("amd"), make_device("intel", buggy=True)]
+        tests = [SUITE.mutants[i] for i in (0, 5, 11)]
+        environments = random_environments(EnvironmentKind.PTE, 2, seed=4)
+        if backend == "operational":
+            execution = dict(
+                runner=Runner(
+                    backend="operational",
+                    max_operational_instances=4,
+                    iterations_override=8,
+                )
+            )
+        else:
+            execution = dict(backend=backend)
+        for label, make_objective in (
+            ("mean", mean_rate_objective),
+            ("min", min_rate_objective),
+        ):
+            objective = make_objective(devices, tests, seed=3, **execution)
+            scores = [objective(env) for env in environments]
+            assert scores == self.PINNED[backend][label]
+
+    def test_runner_and_backend_are_exclusive(self):
+        with pytest.raises(EnvironmentError_, match="not both"):
+            mean_rate_objective(
+                [make_device("amd")], SUITE.mutants[:1],
+                runner=Runner(), backend="tensor",
+            )

@@ -138,7 +138,7 @@ class TestCampaignTelemetry:
         finally:
             obs.disable()
         assert (
-            "campaign.run/campaign.rectangle/backend.run_matrix" in paths
+            "campaign.run/campaign.rectangle/backend.run_grid" in paths
         )
 
     def test_metrics_report_has_absolute_utc(self):

@@ -96,8 +96,6 @@ class TestScopedSuiteIntegration:
     """The scope mutants run through the standard analytic pipeline."""
 
     def test_scope_mutants_evaluable_by_runner(self, pairs):
-        import numpy as np
-
         from repro.env import Runner, pte_baseline
         from repro.gpu import make_device
 
@@ -106,10 +104,7 @@ class TestScopedSuiteIntegration:
         killed = 0
         for pair in pairs:
             for mutant in pair.mutants:
-                run = runner.run(
-                    device, mutant, pte_baseline(),
-                    np.random.default_rng(1),
-                )
+                run = runner.run(device, mutant, pte_baseline(), seed=1)
                 killed += run.killed
         # The downgraded-barrier programs still carry fences, so the
         # batch model treats them as partial-sync mutants; on AMD
@@ -120,8 +115,7 @@ class TestScopedSuiteIntegration:
         stressed = random_environments(EnvironmentKind.PTE, 10, seed=2)
         for environment in stressed:
             run = runner.run(
-                device, pairs[0].mutants[2], environment,
-                np.random.default_rng(2),
+                device, pairs[0].mutants[2], environment, seed=2
             )
             killed += run.killed
         assert killed > 0

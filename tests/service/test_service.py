@@ -284,10 +284,10 @@ class TestRetryAccounting:
         """A rectangle whose grid call fails once is retried, and its
         retries reach the job and service registries exactly as
         `campaign run` counts them."""
-        from repro.backends import Backend
+        from repro.backends import AnalyticBackend
         from repro.campaign.metrics import RETRIES_METRIC
 
-        original = Backend.run_grid
+        original = AnalyticBackend.run_grid
         calls = []
         lock = threading.Lock()
 
@@ -299,7 +299,7 @@ class TestRetryAccounting:
                 raise RuntimeError("injected transient failure")
             return original(self, *args, **kwargs)
 
-        monkeypatch.setattr(Backend, "run_grid", fail_first_call)
+        monkeypatch.setattr(AnalyticBackend, "run_grid", fail_first_call)
         scheduler = run_campaign(
             spec(), config=ExecutorConfig(workers=1, retry_backoff=0.0)
         )

@@ -26,12 +26,7 @@ def make_run(seed=0):
         EnvironmentKind.PTE, np.random.default_rng(seed), env_key=seed
     )
     runner = Runner(backend="analytic")
-    run = runner.run(
-        device,
-        library.by_name("corr"),
-        environment,
-        np.random.default_rng(seed),
-    )
+    run = runner.run(device, library.by_name("corr"), environment, seed=seed)
     return EnvironmentKind.PTE, run
 
 

@@ -101,7 +101,6 @@ class TestReadmeQuickstart:
         )
         assert isinstance(oracle.is_violation(outcome), bool)
         run = Runner().run(
-            device, corr.mutants[0], site_baseline(),
-            np.random.default_rng(0),
+            device, corr.mutants[0], site_baseline(), seed=0
         )
         assert run.iterations == 300
