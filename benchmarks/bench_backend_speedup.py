@@ -1,17 +1,18 @@
-"""Speedup of the analytic grid pass on the Figure 5 tuning grid.
+"""Speedup of the analytic backend on the Figure 5 tuning grid.
 
 Times the same grid — all four Sec. 5.1 environment kinds, the study
 device roster, the full mutant suite — through the serial reference
 loop over the scalar cell (``repro.backends.analytic.run_serial``) and
-through the analytic backend's own grid pass
+through the analytic backend's grid program
 (``AnalyticBackend().run_matrix``), in both of its regimes:
 
-* **cold** (caches empty): the win comes from batching the
-  test-independent workload/tuning computations and memoizing
-  probabilities by structural test key;
+* **cold** (caches empty): the win comes from compiling the closed
+  form once per grid as tensors, then drawing only the live units'
+  per-unit streams;
 * **warm** (caches populated, the steady state of tuning sweeps and
-  resumed campaigns): completed units resolve from the run memo, so
-  re-evaluating a grid costs dictionary lookups.
+  resumed campaigns): each grid's sampled kills resolve from the
+  kills cache, so re-evaluating a grid costs two cache lookups plus
+  materializing its records.
 
 The acceptance bar (≥3×) is asserted on the warm regime, which is
 machine-independent; the cold speedup is reported but only sanity
@@ -27,11 +28,14 @@ import os
 import time
 
 from repro import obs
-from repro.backends import AnalyticBackend
+from repro.backends import (
+    AnalyticBackend,
+    reset_tensor_caches,
+    tensor_cache_stats,
+)
 from repro.backends.analytic import run_serial
 from repro.backends.base import GRID_SECONDS_METRIC, record_grid
 from repro.env import EnvironmentKind, environments_for
-from repro.memo import registered_memos
 
 ENVIRONMENT_COUNT = int(os.environ.get("BENCH_BACKEND_ENVS", "30"))
 SEED = 42
@@ -86,9 +90,7 @@ def test_backend_speedup(suite, devices):
         serial, devices, tests, grids
     )
 
-    memos = registered_memos()
-    for name in ("probability", "jitter", "run"):
-        memos[name].clear()
+    reset_tensor_caches()
     cold_runs, cold_seconds, cold_summary = _run_all(
         backend.run_matrix, devices, tests, grids
     )
@@ -98,8 +100,7 @@ def test_backend_speedup(suite, devices):
 
     cold_speedup = analytic_seconds / cold_seconds
     warm_speedup = analytic_seconds / warm_seconds
-    run_memo = memos["run"].stats()
-    probability_memo = memos["probability"].stats()
+    stats = tensor_cache_stats()
 
     print(f"\nbackend speedup over {total_units} units "
           f"({ENVIRONMENT_COUNT} environments per stressed kind):")
@@ -109,10 +110,9 @@ def test_backend_speedup(suite, devices):
           f"({cold_speedup:.2f}x)")
     print(f"  grid pass (warm):       {warm_seconds:.3f}s "
           f"({warm_speedup:.2f}x)")
-    print(f"  run memo: {run_memo.hits} hits / "
-          f"{run_memo.misses} misses; probability memo: "
-          f"{probability_memo.hits} hits / {probability_memo.misses} "
-          f"misses")
+    print(f"  kills cache: {stats.kills_hits} hits / "
+          f"{stats.kills_misses} misses; program cache: "
+          f"{stats.grid_hits} hits / {stats.grid_misses} misses")
 
     artifact = obs.emit(
         "backend_speedup",
@@ -127,11 +127,11 @@ def test_backend_speedup(suite, devices):
     # Bit identity first: a fast wrong backend is worthless.
     assert cold_runs == analytic_runs
     assert warm_runs == analytic_runs
-    # The warm pass resolves every unit from the run memo.
-    assert run_memo.hits >= total_units
+    # The warm pass resolves every grid from the kills cache.
+    assert stats.kills_hits == len(grids)
 
     assert cold_speedup > 1.0, (
-        f"analytic grid pass slower than the serial loop even "
+        f"analytic grid program slower than the serial loop even "
         f"cold ({cold_speedup:.2f}x)"
     )
     assert warm_speedup >= WARM_SPEEDUP_FLOOR, (

@@ -27,8 +27,8 @@ def test_operational_executor_throughput(benchmark):
 
 
 def test_analytic_cell_throughput(benchmark):
-    # The scalar cell, not Runner.run: the analytic grid pass would
-    # answer every repeat of one unit from its run memo.
+    # The scalar cell, not Runner.run: the analytic backend would
+    # answer every repeat of one unit from its kills cache.
     device = make_device("nvidia")
     test = library.mp()
     environment = pte_baseline()

@@ -1,15 +1,15 @@
 """Speedup of the tensor backend's grid path on the Figure 5 grid.
 
 Times the same grid — all four Sec. 5.1 environment kinds, the study
-device roster, the full mutant suite — through the warm analytic
-grid pass, ``AnalyticBackend().run_matrix`` (the previous speed
-champion, bitwise contract), and through the tensor backend's native
-``run_grid`` path
-(statistical contract), in three regimes:
+device roster, the full mutant suite — through the analytic backend's
+records path, ``AnalyticBackend().run_matrix`` (bitwise contract,
+per-unit numpy streams), and through the tensor backend's native
+``run_grid`` path (statistical contract, batched SplitMix draws).
+Both backends run the same compiled grid program, so the caches are
+reset between them and each side pays its own compile:
 
-* **cold** (caches empty): the grid program — characterization,
-  workload, tuning, the whole probability tensor — is compiled once
-  for the grid instead of once per unit;
+* **cold** (caches empty): compile plus one batched sampling pass,
+  against compile plus one per-unit stream per live unit;
 * **warm** (program and kills cached, the steady state of sweeps and
   resumed campaigns): re-evaluating a grid costs two cache lookups
   and three ``np.broadcast_to`` views;
@@ -18,9 +18,9 @@ champion, bitwise contract), and through the tensor backend's native
   new seeds live in.
 
 The acceptance bar is asserted on the warm regime: ≥10× over the warm
-analytic grid pass at the paper's full scale (150 environments per stressed
-kind), relaxed to ≥3× on reduced CI grids where fixed overheads
-dominate.  Speed never buys silent drift: the per-instance
+analytic ``run_matrix`` at the paper's full scale (150 environments
+per stressed kind), relaxed to ≥3× on reduced CI grids where fixed
+overheads dominate.  Speed never buys silent drift: the per-instance
 probability tensor, iteration counts, instance counts, and simulated
 seconds stay bitwise equal to the analytic model (checked here via
 ``GridResult.to_runs`` against the analytic runs), kill counts are
@@ -45,7 +45,6 @@ from repro.backends import (
 )
 from repro.backends.base import GRID_SECONDS_METRIC
 from repro.env import EnvironmentKind, environments_for
-from repro.memo import registered_memos
 
 ENVIRONMENT_COUNT = int(os.environ.get("BENCH_TENSOR_ENVS", "150"))
 SEED = 42
@@ -118,8 +117,7 @@ def test_tensor_speedup(suite, devices):
         for environments in grids.values()
     )
 
-    for name in ("probability", "jitter", "run"):
-        registered_memos()[name].clear()
+    reset_tensor_caches()
     analytic = AnalyticBackend()
     # The priming pass doubles as the cold-regime reference.
     _, analytic_cold_seconds, _ = _timed_matrix(
@@ -208,6 +206,9 @@ def test_tensor_speedup(suite, devices):
             f"{kind.name}: kill residual {residual:+.2f}σ outside "
             f"±{SIGMA_BOUND}σ"
         )
+
+    # The warm pass resolves every grid from the kills cache.
+    assert stats.kills_hits == len(grids)
 
     # Seeded rerun from cold caches is bit-identical.
     reset_tensor_caches()

@@ -13,9 +13,10 @@ establish it:
    the study devices, the full mutant suite) through the analytic
    model's serial reference loop (``run_serial``, one scalar
    ``run_cell`` per unit) with obs disabled, best of ``--trials`` runs.
-   The loop does real work on every unit; the analytic grid pass
-   would answer warm repeats from its run memo without any per-unit
-   dispatch, so it is the wrong denominator for a per-unit bound.
+   The loop does real work on every unit; the analytic backend would
+   answer warm repeats of a whole grid from its kills cache without
+   any per-unit dispatch, so it is the wrong denominator for a
+   per-unit bound.
 2. **Dispatch ceiling** — a microbenchmark of the per-unit disabled
    dispatch pattern (one ``recorder()`` lookup + ``enabled`` check
    per unit, plus the per-grid null span and guard), deliberately

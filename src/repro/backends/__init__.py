@@ -13,21 +13,20 @@ enforce it across resume:
 * ``analytic`` (:class:`AnalyticBackend`, ``bitwise``) — the default:
   closed-form per-instance probabilities, binomially sampled kills.
   Scales to PTE instance counts; the numerical ground truth
-  everything else is validated against.  Its ``run_grid`` evaluates
-  a grid in one memoized pass, bit-identical to the scalar reference
-  loop (:func:`repro.backends.analytic.run_serial`).  The retired
+  everything else is validated against.  Its ``run_grid`` is the
+  shared grid program (:mod:`repro.backends.program`) sampled by
+  per-unit numpy streams, bit-identical to the scalar reference loop
+  (:func:`repro.backends.analytic.run_serial`).  The retired
   name ``vectorized`` resolves here, so journals that pin it still
   resume.
 * ``operational`` (:class:`OperationalBackend`, ``directional``) —
   every instance actually simulated by the operational executor.
   SITE-scale only; accepts ``max_operational_instances``.
 * ``tensor`` (:class:`TensorAnalyticBackend`, ``statistical``) — the
-  whole (environment × device × test) grid as one broadcast tensor
-  program with batched binomial sampling.  Probabilities and seconds
-  are bitwise equal to ``analytic``; kill counts come from the same
-  distributions via independent seeded streams.  Orders of magnitude
-  faster than the analytic grid pass (see
-  ``benchmarks/bench_tensor_speedup.py``).
+  same grid program with batched counter-based binomial sampling.
+  Probabilities and seconds are identical to ``analytic``'s; kill
+  counts come from the same distributions via independent seeded
+  streams (see ``benchmarks/bench_tensor_speedup.py``).
 
 Callers select a backend by name through :func:`resolve` /
 :func:`make_backend` — the single validation point that
@@ -51,12 +50,12 @@ from repro.backends.registry import (
     resolve,
     validate_options,
 )
-from repro.backends.tensor import (
-    TensorAnalyticBackend,
+from repro.backends.program import (
     TensorCacheStats,
     reset_tensor_caches,
     tensor_cache_stats,
 )
+from repro.backends.tensor import TensorAnalyticBackend
 from repro.backends.validate import (
     ValidationReport,
     validate_backends,

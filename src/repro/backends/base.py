@@ -2,9 +2,10 @@
 
 A :class:`Backend` is one strategy for turning an (environment ×
 device × test) grid into a :class:`GridResult`.  Three strategies ship
-with the package (see :mod:`repro.backends`): the closed-form analytic
-model (one memoized pass per grid), the whole-grid tensor program, and
-the instance-level operational simulator.
+with the package (see :mod:`repro.backends`): the closed-form grid
+program (:mod:`repro.backends.program`) with two samplers —
+``analytic``'s per-unit numpy streams and ``tensor``'s batched
+SplitMix draws — and the instance-level operational simulator.
 
 The protocol is one method: ``run_grid(devices, tests, environments,
 seed, iterations_override) -> GridResult``.  A single unit is a 1×1×1
@@ -48,7 +49,8 @@ from repro.litmus.program import LitmusTest
 #:
 #: * ``"bitwise"`` — every :class:`TestRun` is bit-identical to the
 #:   analytic reference for the same (seed, unit key).  Holds for
-#:   ``analytic`` itself, whose grid pass only dedups computation.
+#:   ``analytic`` itself, whose grid program draws each unit from the
+#:   same stream as the scalar reference loop.
 #: * ``"statistical"`` — kill counts come from the same distributions
 #:   as the reference (identical probabilities, seconds, and unit
 #:   grid) but from different draws; fixed seeds still reproduce

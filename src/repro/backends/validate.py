@@ -4,7 +4,7 @@ Each backend declares an ``equivalence`` contract
 (:data:`repro.backends.base.EQUIVALENCE_CONTRACTS`) and this module
 holds the executable check for each contract:
 
-1. **Bit identity** (``"bitwise"``, the analytic grid pass) — exactly
+1. **Bit identity** (``"bitwise"``, the analytic backend) — exactly
    the serial reference loop's :class:`TestRun` records
    (:func:`repro.backends.analytic.run_serial`: same kills, same
    seconds) for the same seed.  Anything else means caching or
@@ -51,10 +51,8 @@ from repro.backends.registry import (
     registered_backends,
     resolve,
 )
-from repro.backends.tensor import (
-    TensorAnalyticBackend,
-    reset_tensor_caches,
-)
+from repro.backends.program import reset_tensor_caches
+from repro.backends.tensor import TensorAnalyticBackend
 from repro.env.environment import TestingEnvironment
 from repro.env.runner import TestRun
 from repro.errors import EnvironmentError_
@@ -99,7 +97,7 @@ def validate_bit_identity(
     seed: int = 0,
     iterations_override: Optional[int] = None,
 ) -> ValidationReport:
-    """Assert the analytic grid pass equals the serial reference loop
+    """Assert the analytic backend equals the serial reference loop
     bit-for-bit."""
     reference = run_serial(
         devices, tests, environments, seed=seed,
@@ -126,7 +124,7 @@ def validate_bit_identity(
             )
     if report.ok:
         report.notes.append(
-            "analytic grid pass and serial loop are bit-identical"
+            "analytic backend and serial loop are bit-identical"
         )
     return report
 

@@ -295,7 +295,7 @@ def _parser() -> argparse.ArgumentParser:
     tune.add_argument("--devices", nargs="*", default=None)
     add_backend_flags(
         tune,
-        help_text="execution backend (analytic grid pass is bitwise; "
+        help_text="execution backend (analytic is bitwise; "
         "tensor is faster on big grids)",
     )
     tune.add_argument("--out", required=True)

@@ -48,32 +48,20 @@ def result_key(
     environment: TestingEnvironment,
     seed: Optional[int] = None,
     iterations: Optional[int] = None,
-    structural_key: Optional[str] = None,
 ) -> tuple:
     """The canonical identity of one (test, device, environment) unit.
 
-    Every memo and store in the system keys results off this one
-    tuple so cache keys can never diverge between layers: the
-    analytic grid pass's probability memo uses it with ``seed`` and
-    ``iterations`` unset (probabilities are draw-independent), its
-    whole-run memo and the persistent :mod:`repro.store` set both.
+    The persistent :mod:`repro.store` keys every result off this one
+    tuple, with ``seed`` and ``iterations`` set, so a stored result
+    can only be served for the unit, seed and budget that produced it.
 
     Components are frozen dataclasses, enums, strings, and ints, so
     the tuple is hashable and its ``repr`` is identical across
     processes — which is what lets :func:`result_digest` derive a
     process-stable content address from it.
-
-    ``structural_key`` may be passed when the caller already computed
-    :func:`structural_test_key` (grid passes compute it once per
-    test); it must equal ``structural_test_key(test)``.
     """
-    key = (
-        structural_key
-        if structural_key is not None
-        else structural_test_key(test)
-    )
     return (
-        key,
+        structural_test_key(test),
         test.name,
         device.profile,
         tuple(device.bugs),
@@ -271,8 +259,8 @@ class Runner:
 
         Each triple gets an independent, deterministic RNG stream, so
         subsets of the matrix reproduce the full run's values.
-        Delegated whole to the backend, so batching backends (the
-        analytic grid pass, tensor) see the grid at once.
+        Delegated whole to the backend, so grid-program backends
+        (analytic, tensor) see the grid at once.
         """
         return self.backend.run_matrix(
             devices,

@@ -257,9 +257,11 @@ def unit_probability(
 ) -> float:
     """The per-instance probability of one unit, from characteristics.
 
-    The one composition of the closed forms — mechanism and bug
-    channels, instance dilution, stress focus, response jitter — that
-    every analytic path evaluates.  ``jitter(sigma)`` returns the
+    The scalar composition of the closed forms — mechanism and bug
+    channels, instance dilution, stress focus, response jitter — and
+    the reference the whole-grid program
+    (:mod:`repro.backends.program`) reproduces bit for bit.
+    ``jitter(sigma)`` returns the
     unit's response-jitter factor for the mechanism's sigma; it is
     only called for units with a non-zero base probability.
     """

@@ -1,8 +1,8 @@
 """The one memo discipline: bounded LRU caches with published counters.
 
 Every in-process memo in the package — the oracle memo, the
-characteristics memo, the analytic grid pass's probability/jitter/run
-memos, and the tensor program caches — is a :class:`Memo`.  A memo is
+characteristics memo, and the grid-program caches that the analytic
+and tensor backends share — is a :class:`Memo`.  A memo is
 bounded (least recently used entries are evicted past ``maxsize``),
 counts hits, misses and evictions, and registers itself by name (a
 later memo of the same name replaces the earlier one) so

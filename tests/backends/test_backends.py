@@ -1,6 +1,6 @@
 """Behavioural tests for the analytic and operational backends.
 
-The load-bearing property is bit identity: the analytic grid pass
+The load-bearing property is bit identity: the analytic backend
 (``AnalyticBackend().run_matrix``) must reproduce the serial reference
 loop over the scalar cell (``run_serial``) *exactly* for the same seed,
 buggy devices and all environment kinds included.
@@ -9,7 +9,13 @@ buggy devices and all environment kinds included.
 import numpy as np
 import pytest
 
-from repro.backends import AnalyticBackend, OperationalBackend
+from repro.backends import (
+    AnalyticBackend,
+    OperationalBackend,
+    TensorAnalyticBackend,
+    reset_tensor_caches,
+    tensor_cache_stats,
+)
 from repro.backends.analytic import run_cell, run_serial
 from repro.env import (
     EnvironmentKind,
@@ -24,16 +30,11 @@ from repro.memo import registered_memos
 from repro.mutation import default_suite
 
 SUITE = default_suite()
-GRID_MEMOS = ("probability", "jitter", "run")
+GRID_MEMOS = ("tensor_grid", "tensor_kills", "tensor_jitter")
 
 
 def memo_stats(name):
     return registered_memos()[name].stats()
-
-
-def clear_grid_memos():
-    for name in GRID_MEMOS:
-        registered_memos()[name].clear()
 
 
 def serial(*args, **kwargs):
@@ -43,9 +44,9 @@ def serial(*args, **kwargs):
 
 @pytest.fixture(autouse=True)
 def fresh_caches():
-    clear_grid_memos()
+    reset_tensor_caches()
     yield
-    clear_grid_memos()
+    reset_tensor_caches()
 
 
 def grid_for(kind, environment_count=2, seed=3):
@@ -63,7 +64,7 @@ class TestBitIdentity:
             devices, tests, environments, seed=9
         )
         assert candidate == reference
-        # A warm pass (every unit from the run memo) is identical too.
+        # A warm pass (the grid from the kills cache) is identical too.
         assert AnalyticBackend().run_matrix(
             devices, tests, environments, seed=9
         ) == reference
@@ -115,21 +116,21 @@ class TestBitIdentity:
 
 
 class TestCaches:
-    def test_repeat_matrix_hits_run_memo(self):
+    def test_repeat_matrix_hits_kills_cache(self):
         backend = AnalyticBackend()
         devices = study_devices()
         tests = SUITE.mutants[:4]
         environments = grid_for(EnvironmentKind.PTE)
         first = backend.run_matrix(devices, tests, environments, seed=2)
-        cold = memo_stats("run")
-        assert cold.misses == len(first)
+        cold = tensor_cache_stats()
+        assert (cold.grid_misses, cold.kills_misses) == (1, 1)
         second = backend.run_matrix(devices, tests, environments, seed=2)
-        warm = memo_stats("run")
+        warm = tensor_cache_stats()
         assert second == first
-        assert warm.hits == len(first)
-        assert warm.misses == cold.misses
+        assert warm.kills_hits == 1
+        assert warm.kills_misses == cold.kills_misses
 
-    def test_different_seed_misses_run_memo(self):
+    def test_different_seed_misses_kills_cache(self):
         backend = AnalyticBackend()
         backend.run_matrix(
             [make_device("amd")], SUITE.mutants[:2], [pte_baseline()],
@@ -139,9 +140,13 @@ class TestCaches:
             [make_device("amd")], SUITE.mutants[:2], [pte_baseline()],
             seed=2,
         )
-        assert memo_stats("run").hits == 0
+        stats = tensor_cache_stats()
+        assert stats.kills_hits == 0
+        assert stats.kills_misses == 2
+        # The program is seed-independent: compiled once.
+        assert (stats.grid_hits, stats.grid_misses) == (1, 1)
 
-    def test_probability_cache_shared_across_instances(self):
+    def test_program_cache_shared_across_instances(self):
         kwargs = dict(
             devices=[make_device("amd")],
             tests=SUITE.mutants[:3],
@@ -149,19 +154,43 @@ class TestCaches:
             seed=5,
         )
         AnalyticBackend().run_matrix(**kwargs)
-        misses = memo_stats("probability").misses
+        misses = tensor_cache_stats().grid_misses
         AnalyticBackend().run_matrix(**kwargs)
-        assert memo_stats("probability").misses == misses
+        assert tensor_cache_stats().grid_misses == misses
 
     def test_reset_clears_counters(self):
         AnalyticBackend().run_matrix(
             [make_device("amd")], SUITE.mutants[:1], [pte_baseline()],
             seed=0,
         )
-        clear_grid_memos()
-        run = memo_stats("run")
-        assert run.hits == run.misses == 0
-        assert memo_stats("probability").size == run.size == 0
+        reset_tensor_caches()
+        stats = tensor_cache_stats()
+        assert stats.kills_hits == stats.kills_misses == 0
+        assert stats.grid_size == stats.kills_size == 0
+
+    def test_backends_share_one_program_not_kills(self):
+        devices = [make_device("amd"), make_device("intel", buggy=True)]
+        tests = SUITE.mutants[:6]
+        environments = grid_for(EnvironmentKind.PTE)
+        reset_tensor_caches()
+        cold_tensor = TensorAnalyticBackend().run_grid(
+            devices, tests, environments, seed=4
+        )
+        reset_tensor_caches()
+        AnalyticBackend().run_grid(devices, tests, environments, seed=4)
+        after_analytic = tensor_cache_stats()
+        assert (after_analytic.grid_hits, after_analytic.grid_misses) == (
+            0, 1,
+        )
+        tensor = TensorAnalyticBackend().run_grid(
+            devices, tests, environments, seed=4
+        )
+        stats = tensor_cache_stats()
+        # One compiled program serves both samplers ...
+        assert (stats.grid_hits, stats.grid_misses) == (1, 1)
+        # ... but each samples its own kills: no cross-sampler hit.
+        assert (stats.kills_hits, stats.kills_misses) == (0, 2)
+        assert np.array_equal(tensor.kills, cold_tensor.kills)
 
 
 class TestOperationalBackend:

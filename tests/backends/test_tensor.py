@@ -102,8 +102,8 @@ class TestGridResult:
         assert grid.to_runs() == []
 
     def test_default_backend_grid_path(self):
-        # The analytic grid pass packs its records into a GridResult;
-        # run_matrix unpacks them again.
+        # run_matrix is the grid's records, for the analytic sampler
+        # as for any other.
         grid = AnalyticBackend().run_grid(
             [make_device("amd")], SUITE.mutants[:2], small_grid(), seed=7
         )

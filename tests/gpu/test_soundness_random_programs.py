@@ -77,7 +77,7 @@ def random_tuning(draw):
 class TestRandomProgramSoundness:
     @given(program=random_program(), tuning=random_tuning(),
            seed=st.integers(0, 2**31))
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=120, deadline=None, derandomize=True)
     def test_every_outcome_is_allowed(self, program, tuning, seed):
         oracle = TestOracle(program)
         rng = np.random.default_rng(seed)
@@ -88,7 +88,7 @@ class TestRandomProgramSoundness:
             )
 
     @given(program=random_program(), seed=st.integers(0, 2**31))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, derandomize=True)
     def test_outcome_structure_complete(self, program, seed):
         rng = np.random.default_rng(seed)
         tuning = ExecutionTuning(0.2, 0.5, 2.0, 0.5)

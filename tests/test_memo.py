@@ -48,9 +48,13 @@ class TestMemo:
         import repro.backends  # noqa: F401
 
         assert {
-            "oracle", "characteristics", "probability", "jitter", "run",
+            "oracle", "characteristics",
             "tensor_grid", "tensor_kills", "tensor_jitter",
         } <= set(registered_memos())
+        # The per-unit analytic memos are gone: one grid-level layer.
+        assert not {"probability", "jitter", "run"} & set(
+            registered_memos()
+        )
 
 
 class TestUnpublishedCounts:
