@@ -1,6 +1,8 @@
 """The operational backend: every instance actually simulated.
 
-Wraps the operational executor (:mod:`repro.gpu.executor`) behind the
+Wraps the operational interpreter
+(:func:`repro.gpu.executor.run_instance`, over the one interleaving
+loop the PTE kernel and the scoped executor also run on) behind the
 backend protocol: each instance is compiled, relaxed, interleaved, and
 checked against the oracle.  Bounded by ``max_operational_instances``
 per iteration — the one option this backend accepts, and the one the

@@ -15,15 +15,15 @@ The analytic runner treats a PTE iteration statistically; this module
 * all threads interleave over one shared store-buffer memory system,
   so instances genuinely interact (the contention PTE relies on).
 
-Because it runs on the same memory subsystem as the single-instance
-executor, coherence and fence ordering hold per instance by
-construction; the test suite checks every per-instance outcome against
-the enumeration oracle.
+This module only *builds* the per-thread programs; they run through
+the single-instance executor's own interleaving loop
+(:func:`repro.gpu.executor.interleave`), so coherence and fence
+ordering hold per instance by construction.  The test suite checks
+every per-instance outcome against the enumeration oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -33,8 +33,14 @@ from repro.env.permutation import ParallelPermutation, coprime_to
 from repro.errors import EnvironmentError_
 from repro.gpu.bugs import BugSet, NO_BUGS
 from repro.gpu.device import Device
-from repro.gpu.executor import Op, OpKind, compile_test, reorder_pass
-from repro.gpu.memory import CoherentMemory, StoreBuffer
+from repro.gpu.executor import (
+    Op,
+    OpKind,
+    compile_test,
+    interleave,
+    reorder_pass,
+)
+from repro.gpu.memory import CoherentMemory
 from repro.gpu.profiles import ExecutionTuning
 from repro.litmus.outcomes import Outcome
 from repro.litmus.program import LitmusTest
@@ -47,14 +53,6 @@ def _instance_location(location: Location, instance: int) -> Location:
 
 def _instance_register(register: str, instance: int) -> str:
     return f"{register}@{instance}"
-
-
-@dataclass
-class _ThreadProgram:
-    """The op stream one simulated thread executes (all its roles)."""
-
-    thread: int
-    ops: List[Op]
 
 
 class ParallelIteration:
@@ -96,6 +94,7 @@ class ParallelIteration:
         self.bugs = bugs
         self.stress_threads = stress_threads
         self.stress_ops = stress_ops
+        self._compiled = compile_test(test, bugs)
         self.instance_permutation = ParallelPermutation(
             instance_count, coprime_to(instance_count, instance_factor)
         )
@@ -147,15 +146,13 @@ class ParallelIteration:
         instance: int,
         rng: np.random.Generator,
     ) -> List[Op]:
-        compiled = compile_test(self.test, self.bugs)
-        reordered = reorder_pass(compiled, self.tuning, rng, self.bugs)
+        reordered = reorder_pass(self._compiled, self.tuning, rng, self.bugs)
         locations = self._locations_for(instance)
         ops: List[Op] = []
         for op in reordered[role]:
-            if op.kind is OpKind.FENCE:
-                ops.append(Op(OpKind.FENCE))
+            if op.location is None:  # a fence
+                ops.append(op)
                 continue
-            assert op.location is not None
             register = (
                 _instance_register(op.register, instance)
                 if op.register is not None
@@ -173,7 +170,7 @@ class ParallelIteration:
 
     def _stress_program(
         self, thread: int, rng: np.random.Generator
-    ) -> _ThreadProgram:
+    ) -> List[Op]:
         scratch_lines = max(1, self.instance_count // 16)
         ops: List[Op] = []
         for index in range(self.stress_ops):
@@ -189,17 +186,17 @@ class ParallelIteration:
                     Op(OpKind.LOAD, location,
                        register=f"stress{thread}_{index}")
                 )
-        return _ThreadProgram(thread=thread, ops=ops)
+        return ops
 
-    def build_programs(
-        self, rng: np.random.Generator
-    ) -> List[_ThreadProgram]:
-        programs: List[_ThreadProgram] = []
-        for thread, roles in enumerate(self.assignments()):
+    def build_programs(self, rng: np.random.Generator) -> List[List[Op]]:
+        """One op stream per simulated thread: all its roles, in role
+        order, then the stress threads."""
+        programs: List[List[Op]] = []
+        for roles in self.assignments():
             ops: List[Op] = []
             for role, instance in enumerate(roles):
                 ops.extend(self._role_ops(role, instance, rng))
-            programs.append(_ThreadProgram(thread=thread, ops=ops))
+            programs.append(ops)
         base = len(programs)
         for stress_index in range(self.stress_threads):
             programs.append(
@@ -212,73 +209,8 @@ class ParallelIteration:
     def run(self, rng: np.random.Generator) -> List[Outcome]:
         """Execute the iteration; one outcome per test instance."""
         programs = self.build_programs(rng)
-        memory = CoherentMemory()
-        buffers = [StoreBuffer(p.thread) for p in programs]
-        registers: Dict[str, int] = {}
-        cursors = [0] * len(programs)
-        remaining = [len(p.ops) for p in programs]
-        chunk_mean = self.tuning.chunk_mean
-
-        while any(remaining):
-            runnable = [
-                index for index, left in enumerate(remaining) if left
-            ]
-            thread = int(rng.choice(runnable))
-            if chunk_mean <= 1.0:
-                chunk = 1
-            else:
-                chunk = int(rng.geometric(1.0 / chunk_mean))
-            for _ in range(min(chunk, remaining[thread])):
-                op = programs[thread].ops[cursors[thread]]
-                self._execute(op, buffers[thread], memory, registers, rng)
-                cursors[thread] += 1
-                remaining[thread] -= 1
-            for buffer in buffers:
-                if not buffer.empty:
-                    buffer.flush_random(
-                        memory, rng, self.tuning.flush_probability
-                    )
-        order = list(range(len(buffers)))
-        rng.shuffle(order)
-        for index in order:
-            buffers[index].flush_all(memory)
+        memory, registers = interleave(programs, self.tuning, rng, self.bugs)
         return self._collect(memory, registers)
-
-    def _execute(
-        self,
-        op: Op,
-        buffer: StoreBuffer,
-        memory: CoherentMemory,
-        registers: Dict[str, int],
-        rng: np.random.Generator,
-    ) -> None:
-        if op.kind is OpKind.STORE:
-            assert op.location is not None and op.value is not None
-            buffer.push(op.location, op.value)
-        elif op.kind is OpKind.FENCE:
-            buffer.push_barrier()
-        elif op.kind is OpKind.LOAD:
-            assert op.location is not None and op.register is not None
-            forwarded = buffer.newest_pending(op.location)
-            if forwarded is not None:
-                registers[op.register] = forwarded
-                return
-            stale = self.bugs.stale_read_probability(self.tuning)
-            if stale > 0.0 and rng.random() < stale:
-                registers[op.register] = memory.read_stale(
-                    op.location, rng, self.bugs.stale_depth()
-                )
-                return
-            registers[op.register] = memory.read_current(op.location)
-        elif op.kind is OpKind.RMW:
-            assert op.location is not None
-            assert op.value is not None and op.register is not None
-            buffer.flush_for_rmw(op.location, memory)
-            old = memory.read_current(op.location)
-            memory.commit(op.location, op.value, buffer.thread)
-            registers[op.register] = old
-        else:  # pragma: no cover - exhaustive enum
-            raise EnvironmentError_(f"unknown op kind {op.kind}")
 
     def _collect(
         self, memory: CoherentMemory, registers: Dict[str, int]

@@ -31,7 +31,7 @@ from repro.gpu.device import (
     make_device,
     study_devices,
 )
-from repro.gpu.executor import InstanceExecutor, compile_test, run_instance
+from repro.gpu.executor import compile_test, run_instance
 from repro.gpu.batch import BatchModel
 from repro.gpu.memory import CoherentMemory, StoreBuffer
 from repro.gpu.profiles import (
@@ -69,7 +69,6 @@ __all__ = [
     "ExecutionTuning",
     "INTEL_CORR",
     "INTEL_IRIS_PLUS",
-    "InstanceExecutor",
     "Mechanism",
     "NO_BUGS",
     "NVIDIA_KEPLER",

@@ -1,10 +1,13 @@
-"""The operational per-instance executor.
+"""The operational interpreter: the simulated device's "real machine".
 
-This is the "real machine": it compiles a litmus test to per-thread op
-streams, applies the device's (possibly buggy) compile-time reordering,
-then interleaves the threads over the store-buffer memory subsystem of
+It compiles a litmus test to per-thread op streams, applies the
+device's (possibly buggy) compile-time reordering, then interleaves the
+threads over the store-buffer memory subsystem of
 :mod:`repro.gpu.memory` and reports the observable
-:class:`~repro.litmus.outcomes.Outcome`.
+:class:`~repro.litmus.outcomes.Outcome`.  :func:`interleave` is the one
+interleaving loop: the operational PTE iteration
+(:mod:`repro.env.parallel_kernel`) and the workgroup-placed executor
+(:mod:`repro.scopes.executor`) only build programs for it.
 
 Without injected bugs, every outcome it can produce corresponds to a
 candidate execution allowed by the test's memory model — a property the
@@ -17,11 +20,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.errors import DeviceError
+from repro.errors import DeviceError, MalformedProgramError
 from repro.gpu.bugs import BugSet, NO_BUGS
 from repro.gpu.memory import CoherentMemory, StoreBuffer
 from repro.gpu.profiles import ExecutionTuning
@@ -41,27 +44,31 @@ class OpKind(enum.Enum):
     STORE = "store"
     RMW = "rmw"
     FENCE = "fence"
+    BARRIER = "barrier"  # workgroupBarrier(): a rendezvous of peers
 
 
 @dataclass
 class Op:
-    """One compiled operation of a thread's instruction stream."""
+    """One compiled operation of a thread's instruction stream.
+
+    Fences and barriers carry no location.
+    """
 
     kind: OpKind
     location: Optional[Location] = None
     value: Optional[int] = None
     register: Optional[str] = None
 
-    @property
-    def is_memory(self) -> bool:
-        return self.kind is not OpKind.FENCE
-
 
 def compile_test(test: LitmusTest, bugs: BugSet = NO_BUGS) -> List[List[Op]]:
     """Lower a litmus test to per-thread op streams.
 
     The AMD fence-dropping bug applies here: the miscompiled program
-    simply has no fences, exactly like the drop-both-fences mutant.
+    simply has no plain fences, exactly like the drop-both-fences
+    mutant.  Scoped control barriers (:mod:`repro.scopes`, a
+    :class:`Fence` subclass with a ``scope``) are never dropped: a
+    workgroup-scoped one becomes :attr:`OpKind.BARRIER`, a
+    storage-scoped one a fence.
     """
     threads: List[List[Op]] = []
     for thread in test.threads:
@@ -84,7 +91,13 @@ def compile_test(test: LitmusTest, bugs: BugSet = NO_BUGS) -> List[List[Op]]:
                        register=instruction.register)
                 )
             elif isinstance(instruction, Fence):
-                if not bugs.drops_fences:
+                scope = getattr(instruction, "scope", None)
+                if scope is None:
+                    if not bugs.drops_fences:
+                        ops.append(Op(OpKind.FENCE))
+                elif scope.value == "workgroup":
+                    ops.append(Op(OpKind.BARRIER))
+                else:
                     ops.append(Op(OpKind.FENCE))
             else:
                 raise DeviceError(
@@ -105,9 +118,9 @@ def reorder_pass(
 
     Adjacent operations swap with the tuning's reorder probability when
     the swap is architecturally legal: different locations, and no
-    fence involved (fences order everything on both sides).  The Intel
-    CoRR bug additionally permits swapping adjacent *same-location
-    loads* — the coherence violation.
+    fence or barrier involved (they order everything on both sides).
+    The Intel CoRR bug additionally permits swapping adjacent
+    *same-location loads* — the coherence violation.
     """
     swap_same_loc_loads = bugs.load_load_swap_probability()
     result = [list(thread) for thread in threads]
@@ -116,11 +129,9 @@ def reorder_pass(
             index = 0
             while index + 1 < len(ops):
                 first, second = ops[index], ops[index + 1]
-                if first.kind is OpKind.FENCE or second.kind is OpKind.FENCE:
+                if first.location is None or second.location is None:
                     index += 1
                     continue
-                assert first.location is not None
-                assert second.location is not None
                 if first.location != second.location:
                     if rng.random() < tuning.reorder_probability:
                         ops[index], ops[index + 1] = second, first
@@ -138,118 +149,123 @@ def reorder_pass(
     return result
 
 
-class InstanceExecutor:
-    """Runs one test instance under a given tuning, producing an Outcome."""
+def _chunk_size(tuning: ExecutionTuning, rng: np.random.Generator) -> int:
+    """Ops a scheduled thread runs before the next scheduling draw."""
+    mean = tuning.chunk_mean
+    if mean <= 1.0:
+        return 1
+    return int(rng.geometric(1.0 / mean))
 
-    def __init__(
-        self,
-        test: LitmusTest,
-        tuning: ExecutionTuning,
-        rng: np.random.Generator,
-        bugs: BugSet = NO_BUGS,
-    ) -> None:
-        self.test = test
-        self.tuning = tuning
-        self.rng = rng
-        self.bugs = bugs
-        self.memory = CoherentMemory()
-        self.buffers = [
-            StoreBuffer(index) for index in range(test.thread_count)
-        ]
-        self.registers: Dict[str, int] = {}
 
-    # -- single-op semantics ----------------------------------------------
+def interleave(
+    programs: Sequence[Sequence[Op]],
+    tuning: ExecutionTuning,
+    rng: np.random.Generator,
+    bugs: BugSet = NO_BUGS,
+    peers: Optional[Callable[[int], Sequence[int]]] = None,
+) -> Tuple[CoherentMemory, Dict[str, int]]:
+    """Interleave per-thread op streams over one store-buffer memory.
 
-    def _execute(self, thread: int, op: Op) -> None:
-        buffer = self.buffers[thread]
-        if op.kind is OpKind.STORE:
-            assert op.location is not None and op.value is not None
-            buffer.push(op.location, op.value)
-        elif op.kind is OpKind.FENCE:
-            # Release half: later stores may not overtake the barrier.
-            # Acquire half is enforced at compile time (no load may be
-            # hoisted across a fence in the reorder pass).
-            buffer.push_barrier()
-        elif op.kind is OpKind.LOAD:
-            assert op.location is not None and op.register is not None
-            self.registers[op.register] = self._read(thread, op.location)
-        elif op.kind is OpKind.RMW:
-            assert op.location is not None
-            assert op.value is not None and op.register is not None
-            # RMWs act on global memory atomically: earlier pending
-            # stores to the location and any release barrier must
-            # commit first, then the read-modify-write happens in one
-            # indivisible step.
-            buffer.flush_for_rmw(op.location, self.memory)
-            old = self.memory.read_current(op.location)
-            self.memory.commit(op.location, op.value, thread)
-            self.registers[op.register] = old
-        else:  # pragma: no cover - exhaustive enum
-            raise DeviceError(f"unknown op kind {op.kind}")
+    Each step picks a runnable thread uniformly, runs a geometric chunk
+    of its ops, then gives every buffered store one chance to commit;
+    at the end the buffers drain in random order.  Returns the final
+    memory and register file.
 
-    def _read(self, thread: int, location: Location) -> int:
-        forwarded = self.buffers[thread].newest_pending(location)
-        if forwarded is not None:
-            return forwarded
-        stale_probability = self.bugs.stale_read_probability(self.tuning)
-        if stale_probability > 0.0 and self.rng.random() < stale_probability:
-            return self.memory.read_stale(
-                location, self.rng, self.bugs.stale_depth()
-            )
-        return self.memory.read_current(location)
+    ``peers(thread)`` names the threads of ``thread``'s workgroup
+    (:meth:`repro.scopes.Placement.peers`, ``thread`` included) and is
+    needed only for :attr:`OpKind.BARRIER`, the ``workgroupBarrier()``
+    rendezvous: no thread passes it until every peer has arrived, and
+    crossing it drains all the peers' store buffers.
+    """
+    memory = CoherentMemory()
+    buffers = [StoreBuffer(thread) for thread in range(len(programs))]
+    registers: Dict[str, int] = {}
+    cursors = [0] * len(programs)
+    remaining = [len(ops) for ops in programs]
+    stale = bugs.stale_read_probability(tuning)
+    # Threads stopped at a workgroup barrier.
+    waiting: Set[int] = set()
 
-    # -- the interleaving loop ----------------------------------------------
+    def settle(thread: int) -> None:
+        if remaining[thread] and (
+            programs[thread][cursors[thread]].kind is OpKind.BARRIER
+        ):
+            waiting.add(thread)
+        else:
+            waiting.discard(thread)
 
-    def _chunk_size(self) -> int:
-        mean = self.tuning.chunk_mean
-        if mean <= 1.0:
-            return 1
-        return int(self.rng.geometric(1.0 / mean))
+    def ready(thread: int) -> bool:
+        if peers is None:
+            raise DeviceError("a workgroup barrier needs a placement")
+        return all(peer in waiting for peer in peers(thread))
 
-    def _flush_step(self) -> None:
-        for buffer in self.buffers:
-            if not buffer.empty:
-                buffer.flush_random(
-                    self.memory, self.rng, self.tuning.flush_probability
+    for thread in range(len(programs)):
+        settle(thread)
+    while any(remaining):
+        if waiting:
+            runnable = [
+                index for index, left in enumerate(remaining)
+                if left and (index not in waiting or ready(index))
+            ]
+            if not runnable:
+                raise MalformedProgramError(
+                    "workgroup barrier deadlock (non-uniform control flow)"
                 )
-
-    def run(self) -> Outcome:
-        threads = reorder_pass(
-            compile_test(self.test, self.bugs),
-            self.tuning,
-            self.rng,
-            self.bugs,
-        )
-        cursors = [0] * len(threads)
-        remaining = [len(ops) for ops in threads]
-        while any(remaining):
+        else:
             runnable = [
                 index for index, left in enumerate(remaining) if left
             ]
-            thread = int(self.rng.choice(runnable))
-            for _ in range(min(self._chunk_size(), remaining[thread])):
-                op = threads[thread][cursors[thread]]
-                self._execute(thread, op)
-                cursors[thread] += 1
-                remaining[thread] -= 1
-            self._flush_step()
-        # Drain the buffers in random order to finish all commits.
-        order = list(range(len(self.buffers)))
-        self.rng.shuffle(order)
-        for index in order:
-            self.buffers[index].flush_all(self.memory)
-        return self._outcome()
-
-    def _outcome(self) -> Outcome:
-        finals = {
-            location: self.memory.read_current(location)
-            for location in self.test.locations
-        }
-        reads = {
-            register: self.registers.get(register, 0)
-            for register in self.test.registers
-        }
-        return Outcome(reads=reads, finals=finals)
+        thread = int(rng.choice(runnable))
+        ops, buffer = programs[thread], buffers[thread]
+        for _ in range(min(_chunk_size(tuning, rng), remaining[thread])):
+            op = ops[cursors[thread]]
+            kind = op.kind
+            if kind is OpKind.STORE:
+                buffer.push(op.location, op.value)
+            elif kind is OpKind.LOAD:
+                # Store forwarding first; only the Kepler bug reads stale.
+                value = buffer.newest_pending(op.location)
+                if value is None:
+                    if stale > 0.0 and rng.random() < stale:
+                        value = memory.read_stale(
+                            op.location, rng, bugs.stale_depth()
+                        )
+                    else:
+                        value = memory.read_current(op.location)
+                registers[op.register] = value
+            elif kind is OpKind.FENCE:
+                # Release half: later stores may not overtake the
+                # barrier.  The acquire half is enforced by the reorder
+                # pass, which hoists no load across a fence.
+                buffer.push_barrier()
+            elif kind is OpKind.RMW:
+                # Atomic on global memory: earlier pending stores to the
+                # location and any release barrier commit first.
+                buffer.flush_for_rmw(op.location, memory)
+                registers[op.register] = memory.read_current(op.location)
+                memory.commit(op.location, op.value, thread)
+            else:  # OpKind.BARRIER
+                # Rendezvous: the peers cross together, draining their
+                # buffers.  Arriving ends the slot either way.
+                waiting.add(thread)
+                if ready(thread):
+                    for peer in peers(thread):
+                        buffers[peer].flush_all(memory)
+                        cursors[peer] += 1
+                        remaining[peer] -= 1
+                        settle(peer)
+                break
+            cursors[thread] += 1
+            remaining[thread] -= 1
+        settle(thread)
+        for buffer in buffers:
+            if not buffer.empty:
+                buffer.flush_random(memory, rng, tuning.flush_probability)
+    order = list(range(len(buffers)))
+    rng.shuffle(order)
+    for index in order:
+        buffers[index].flush_all(memory)
+    return memory, registers
 
 
 def run_instance(
@@ -257,6 +273,22 @@ def run_instance(
     tuning: ExecutionTuning,
     rng: np.random.Generator,
     bugs: BugSet = NO_BUGS,
+    peers: Optional[Callable[[int], Sequence[int]]] = None,
 ) -> Outcome:
-    """Convenience wrapper: compile, reorder, interleave, observe."""
-    return InstanceExecutor(test, tuning, rng, bugs).run()
+    """Compile, reorder, interleave and observe one test instance.
+
+    ``peers`` is the workgroup placement for tests with
+    ``workgroupBarrier()``s (see :func:`interleave`).
+    """
+    threads = reorder_pass(compile_test(test, bugs), tuning, rng, bugs)
+    memory, registers = interleave(threads, tuning, rng, bugs, peers)
+    return Outcome(
+        reads={
+            register: registers.get(register, 0)
+            for register in test.registers
+        },
+        finals={
+            location: memory.read_current(location)
+            for location in test.locations
+        },
+    )

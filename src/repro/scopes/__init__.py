@@ -10,8 +10,9 @@ continues to evolve" (Sec. 1.2).  This package takes the first step:
 * :class:`ScopedRelAcqSCPerLocation` — synchronization filtered by
   scope and placement (workgroup-scope barriers only synchronize
   threads that share a workgroup);
-* :class:`ScopedExecutor` — operational execution with real rendezvous
-  semantics for workgroup barriers.
+* :func:`run_scoped_instance` — operational execution with real
+  rendezvous semantics for workgroup barriers, through the core
+  interpreter (:func:`repro.gpu.executor.interleave`).
 
 The enumeration oracle works unchanged on scoped tests (the model is
 just another :class:`~repro.memory_model.models.MemoryModel`), so the
@@ -19,11 +20,7 @@ same verify-generate-measure pipeline extends to intra-workgroup
 testing.
 """
 
-from repro.scopes.executor import (
-    ScopedExecutor,
-    compile_scoped,
-    run_scoped_instance,
-)
+from repro.scopes.executor import run_scoped_instance
 from repro.scopes.instructions import (
     BarrierScope,
     ControlBarrier,
@@ -43,9 +40,7 @@ __all__ = [
     "ControlBarrier",
     "Placement",
     "SCOPE_DROPS",
-    "ScopedExecutor",
     "ScopedRelAcqSCPerLocation",
-    "compile_scoped",
     "run_scoped_instance",
     "scope_of",
     "scope_table",

@@ -11,6 +11,11 @@ semantics the paper defers to future work:
 * storage-scope barriers keep their core semantics (release ordering
   in the store buffer, no rendezvous across workgroups).
 
+Both run in the core interpreter (:func:`repro.gpu.executor.interleave`),
+which compiles a workgroup barrier to its rendezvous op and takes the
+placement's peers; this module only checks that the program and the
+placement fit.
+
 The implementation is deliberately *conservative*: a workgroup barrier
 also makes the drained writes visible to other workgroups, which is
 stronger than the scoped model requires.  That is sound (the test
@@ -22,90 +27,32 @@ pruning applies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Set
 
 import numpy as np
 
-from repro.errors import DeviceError, MalformedProgramError
+from repro.errors import MalformedProgramError
 from repro.gpu.bugs import BugSet, NO_BUGS
-from repro.gpu.executor import Op, OpKind, reorder_pass
-from repro.gpu.memory import CoherentMemory, StoreBuffer
+from repro.gpu.executor import run_instance
 from repro.gpu.profiles import ExecutionTuning
-from repro.litmus.instructions import (
-    AtomicExchange,
-    AtomicLoad,
-    AtomicStore,
-    Fence,
-)
 from repro.litmus.outcomes import Outcome
 from repro.litmus.program import LitmusTest
 from repro.scopes.instructions import BarrierScope, ControlBarrier
 from repro.scopes.placement import Placement
 
 
-@dataclass
-class ScopedOp:
-    """A compiled op plus, for fences, its barrier scope."""
-
-    op: Op
-    barrier_scope: Optional[BarrierScope] = None
-
-
-def compile_scoped(
-    test: LitmusTest, bugs: BugSet = NO_BUGS
-) -> List[List[ScopedOp]]:
-    """Compile a (possibly barrier-scoped) test to per-thread streams."""
-    threads: List[List[ScopedOp]] = []
-    for thread in test.threads:
-        ops: List[ScopedOp] = []
-        for instruction in thread:
-            if isinstance(instruction, AtomicLoad):
-                ops.append(
-                    ScopedOp(Op(OpKind.LOAD, instruction.location,
-                                register=instruction.register))
-                )
-            elif isinstance(instruction, AtomicStore):
-                ops.append(
-                    ScopedOp(Op(OpKind.STORE, instruction.location,
-                                value=instruction.value))
-                )
-            elif isinstance(instruction, AtomicExchange):
-                ops.append(
-                    ScopedOp(Op(OpKind.RMW, instruction.location,
-                                value=instruction.value,
-                                register=instruction.register))
-                )
-            elif isinstance(instruction, ControlBarrier):
-                ops.append(
-                    ScopedOp(Op(OpKind.FENCE),
-                             barrier_scope=instruction.scope)
-                )
-            elif isinstance(instruction, Fence):
-                if not bugs.drops_fences:
-                    ops.append(
-                        ScopedOp(Op(OpKind.FENCE),
-                                 barrier_scope=BarrierScope.STORAGE)
-                    )
-            else:
-                raise DeviceError(
-                    f"cannot compile instruction {instruction!r}"
-                )
-        threads.append(ops)
-    return threads
-
-
 def _validate_uniform_barriers(
-    streams: Sequence[Sequence[ScopedOp]], placement: Placement
+    test: LitmusTest, placement: Placement
 ) -> None:
     """Workgroup barriers must be uniform within each workgroup, or the
     rendezvous deadlocks (WGSL makes non-uniform barriers an error)."""
-    counts: Dict[int, set] = {}
-    for thread, stream in enumerate(streams):
+    counts: Dict[int, Set[int]] = {}
+    for thread, instructions in enumerate(test.threads):
         barrier_count = sum(
             1
-            for scoped in stream
-            if scoped.barrier_scope is BarrierScope.WORKGROUP
+            for instruction in instructions
+            if isinstance(instruction, ControlBarrier)
+            and instruction.scope is BarrierScope.WORKGROUP
         )
         group = placement.workgroup_of(thread)
         counts.setdefault(group, set()).add(barrier_count)
@@ -117,193 +64,6 @@ def _validate_uniform_barriers(
             )
 
 
-class ScopedExecutor:
-    """Runs one scoped test instance under a placement."""
-
-    def __init__(
-        self,
-        test: LitmusTest,
-        placement: Placement,
-        tuning: ExecutionTuning,
-        rng: np.random.Generator,
-        bugs: BugSet = NO_BUGS,
-    ) -> None:
-        if placement.thread_count != test.thread_count:
-            raise MalformedProgramError(
-                f"placement covers {placement.thread_count} threads, "
-                f"test has {test.thread_count}"
-            )
-        self.test = test
-        self.placement = placement
-        self.tuning = tuning
-        self.rng = rng
-        self.bugs = bugs
-        self.memory = CoherentMemory()
-        self.buffers = [
-            StoreBuffer(index) for index in range(test.thread_count)
-        ]
-        self.registers: Dict[str, int] = {}
-
-    # -- compilation with the reorder pass ------------------------------
-
-    def _compiled(self) -> List[List[ScopedOp]]:
-        streams = compile_scoped(self.test, self.bugs)
-        _validate_uniform_barriers(streams, self.placement)
-        # Reuse the core reorder pass: it never moves anything across a
-        # FENCE op, so barrier positions (and their scopes) are stable.
-        bare = [[scoped.op for scoped in stream] for stream in streams]
-        reordered = reorder_pass(bare, self.tuning, self.rng, self.bugs)
-        result: List[List[ScopedOp]] = []
-        for stream, ops in zip(streams, reordered):
-            scopes = [
-                scoped.barrier_scope
-                for scoped in stream
-                if scoped.op.kind is OpKind.FENCE
-            ]
-            fence_index = 0
-            rebuilt: List[ScopedOp] = []
-            for op in ops:
-                if op.kind is OpKind.FENCE:
-                    rebuilt.append(ScopedOp(op, scopes[fence_index]))
-                    fence_index += 1
-                else:
-                    rebuilt.append(ScopedOp(op))
-            result.append(rebuilt)
-        return result
-
-    # -- the rendezvous-aware interleaving loop ---------------------------
-
-    def run(self) -> Outcome:
-        streams = self._compiled()
-        cursors = [0] * len(streams)
-        barriers_passed = [0] * len(streams)
-
-        def next_op(thread: int) -> Optional[ScopedOp]:
-            if cursors[thread] >= len(streams[thread]):
-                return None
-            return streams[thread][cursors[thread]]
-
-        def at_workgroup_barrier(thread: int) -> bool:
-            scoped = next_op(thread)
-            return (
-                scoped is not None
-                and scoped.barrier_scope is BarrierScope.WORKGROUP
-            )
-
-        def barrier_ready(thread: int) -> bool:
-            k = barriers_passed[thread]
-            for peer in self.placement.peers(thread):
-                if barriers_passed[peer] != k or not at_workgroup_barrier(
-                    peer
-                ):
-                    return False
-            return True
-
-        def release_workgroup(thread: int) -> None:
-            # All peers cross together: drain their buffers (visibility)
-            # and advance them past the barrier op.
-            for peer in self.placement.peers(thread):
-                self.buffers[peer].flush_all(self.memory)
-                cursors[peer] += 1
-                barriers_passed[peer] += 1
-
-        while True:
-            runnable = []
-            blocked = []
-            for thread in range(len(streams)):
-                if next_op(thread) is None:
-                    continue
-                if at_workgroup_barrier(thread) and not barrier_ready(
-                    thread
-                ):
-                    blocked.append(thread)
-                else:
-                    runnable.append(thread)
-            if not runnable:
-                if blocked:
-                    raise MalformedProgramError(
-                        "workgroup barrier deadlock (non-uniform "
-                        "control flow)"
-                    )
-                break
-            thread = int(self.rng.choice(runnable))
-            chunk = self._chunk_size()
-            for _ in range(chunk):
-                scoped = next_op(thread)
-                if scoped is None:
-                    break
-                if scoped.barrier_scope is BarrierScope.WORKGROUP:
-                    if barrier_ready(thread):
-                        release_workgroup(thread)
-                    break  # rendezvous ends the slot either way
-                self._execute(thread, scoped)
-                cursors[thread] += 1
-            self._flush_step()
-        order = list(range(len(self.buffers)))
-        self.rng.shuffle(order)
-        for index in order:
-            self.buffers[index].flush_all(self.memory)
-        return self._outcome()
-
-    def _chunk_size(self) -> int:
-        mean = self.tuning.chunk_mean
-        if mean <= 1.0:
-            return 1
-        return int(self.rng.geometric(1.0 / mean))
-
-    def _flush_step(self) -> None:
-        for buffer in self.buffers:
-            if not buffer.empty:
-                buffer.flush_random(
-                    self.memory, self.rng, self.tuning.flush_probability
-                )
-
-    def _execute(self, thread: int, scoped: ScopedOp) -> None:
-        op = scoped.op
-        buffer = self.buffers[thread]
-        if op.kind is OpKind.STORE:
-            assert op.location is not None and op.value is not None
-            buffer.push(op.location, op.value)
-        elif op.kind is OpKind.FENCE:
-            # Storage-scope barrier: release ordering, no rendezvous.
-            buffer.push_barrier()
-        elif op.kind is OpKind.LOAD:
-            assert op.location is not None and op.register is not None
-            forwarded = buffer.newest_pending(op.location)
-            if forwarded is not None:
-                self.registers[op.register] = forwarded
-                return
-            stale = self.bugs.stale_read_probability(self.tuning)
-            if stale > 0.0 and self.rng.random() < stale:
-                self.registers[op.register] = self.memory.read_stale(
-                    op.location, self.rng, self.bugs.stale_depth()
-                )
-                return
-            self.registers[op.register] = self.memory.read_current(
-                op.location
-            )
-        elif op.kind is OpKind.RMW:
-            assert op.location is not None
-            assert op.value is not None and op.register is not None
-            buffer.flush_for_rmw(op.location, self.memory)
-            old = self.memory.read_current(op.location)
-            self.memory.commit(op.location, op.value, thread)
-            self.registers[op.register] = old
-        else:  # pragma: no cover - exhaustive enum
-            raise DeviceError(f"unknown op kind {op.kind}")
-
-    def _outcome(self) -> Outcome:
-        finals = {
-            location: self.memory.read_current(location)
-            for location in self.test.locations
-        }
-        reads = {
-            register: self.registers.get(register, 0)
-            for register in self.test.registers
-        }
-        return Outcome(reads=reads, finals=finals)
-
-
 def run_scoped_instance(
     test: LitmusTest,
     placement: Placement,
@@ -311,5 +71,11 @@ def run_scoped_instance(
     rng: np.random.Generator,
     bugs: BugSet = NO_BUGS,
 ) -> Outcome:
-    """Convenience wrapper: one scoped instance, one outcome."""
-    return ScopedExecutor(test, placement, tuning, rng, bugs).run()
+    """One scoped instance under ``placement``, one outcome."""
+    if placement.thread_count != test.thread_count:
+        raise MalformedProgramError(
+            f"placement covers {placement.thread_count} threads, "
+            f"test has {test.thread_count}"
+        )
+    _validate_uniform_barriers(test, placement)
+    return run_instance(test, tuning, rng, bugs, peers=placement.peers)

@@ -8,12 +8,10 @@ from hypothesis import given, settings, strategies as st
 from repro.gpu import (
     BugSet,
     ExecutionTuning,
-    InstanceExecutor,
-    NO_BUGS,
     compile_test,
     run_instance,
 )
-from repro.gpu.executor import Op, OpKind, reorder_pass
+from repro.gpu.executor import Op, OpKind, _chunk_size, reorder_pass
 from repro.litmus import TestOracle, library
 from repro.memory_model import X, Y
 from repro.mutation import default_suite
@@ -259,10 +257,8 @@ class TestExecutorInternals:
             assert not oracle.matches_target(outcome)
 
     def test_chunk_size_at_least_one(self):
-        executor = InstanceExecutor(
-            library.corr(), STRICT, rng(), NO_BUGS
-        )
-        assert all(executor._chunk_size() >= 1 for _ in range(50))
+        generator = rng()
+        assert all(_chunk_size(STRICT, generator) >= 1 for _ in range(50))
 
     def test_deterministic_given_seed(self):
         test = library.mp()

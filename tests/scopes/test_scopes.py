@@ -17,7 +17,6 @@ from repro.scopes import (
     BarrierScope,
     ControlBarrier,
     Placement,
-    ScopedExecutor,
     run_scoped_instance,
     scope_of,
     scope_table,
@@ -150,7 +149,7 @@ class TestScopedModel:
 
     def test_placement_size_checked(self):
         with pytest.raises(MalformedProgramError, match="placement"):
-            ScopedExecutor(
+            run_scoped_instance(
                 mp_scoped(Placement.all_together(2)),
                 Placement([0]),
                 RELAXED,
